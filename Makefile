@@ -86,13 +86,14 @@ BENCH_RUN = $(GO) test -run=NONE -bench=. -benchtime=1x -count=5 -benchmem ./...
 # ALLOC_GUARD names the hot-path benchmarks whose allocs/op growth
 # beyond 30% fails the bench lane like a time regression: allocation
 # counts are deterministic, so drift there is a real change, not noise.
-ALLOC_GUARD = BenchmarkSchedulerOnly,BenchmarkDiscreteEventSim
+ALLOC_GUARD = BenchmarkSchedulerOnly,BenchmarkDiscreteEventSim,BenchmarkScenarioRunLong
 
-# REQUIRE_BENCH is the worker-scaling ladder the bench lane must keep
-# measuring: if a rung disappears from either artifact the gate fails
-# instead of silently skipping it (the ROADMAP's parallel-scaling work
-# is graded on these three benchmarks).
-REQUIRE_BENCH = BenchmarkSweepGridParallel2,BenchmarkSweepGridParallel4,BenchmarkSweepGridParallel8
+# REQUIRE_BENCH names the benchmarks the bench lane must keep
+# measuring: if one disappears from either artifact the gate fails
+# instead of silently skipping it. The worker-scaling ladder grades the
+# ROADMAP's parallel-scaling work; BenchmarkScenarioRunLong is the
+# layer benchmark of the simulator path behind long /v1/run requests.
+REQUIRE_BENCH = BenchmarkSweepGridParallel2,BenchmarkSweepGridParallel4,BenchmarkSweepGridParallel8,BenchmarkScenarioRunLong
 
 # SCALING_GATE is the committed parallel-speedup contract: the current
 # artifact's Serial/Parallel8 median ratio per ladder must clear the

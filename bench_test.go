@@ -255,6 +255,43 @@ func BenchmarkSimGreedyReference256(b *testing.B) {
 	benchmarkSimEngine(b, 256, sim.RunGreedy)
 }
 
+// BenchmarkScenarioRunLong measures the streaming runner on the shape
+// of a long /v1/run: prepared urban-8cam and ws-dataflow-8cam schedules
+// (ws-dataflow-8cam re-keys stale heap entries most often), 4096 frames
+// each in 16-frame windows, serially. Nearly all of its time is
+// sim.Graph.Run and the per-window work around it.
+func BenchmarkScenarioRunLong(b *testing.B) {
+	var prepared []*scenario.Prepared
+	for _, name := range []string{"urban-8cam", "ws-dataflow-8cam"} {
+		sp, err := scenario.Lookup(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, err := scenario.Prepare(sp, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		prepared = append(prepared, p)
+	}
+	opts := scenario.RunOptions{Frames: 4096, WindowFrames: 16}
+	var r scenario.Result
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range prepared {
+			var err error
+			if r, err = p.Run(context.Background(), opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.StopTimer()
+	printTable("runlong", func() {
+		fmt.Printf("run-long: %s %d frames in %d windows, sim %.1f FPS, p99 %.1f ms\n\n",
+			r.Scenario, r.Frames, r.Windows, r.SimFPS, r.P99Ms)
+	})
+}
+
 // BenchmarkAblationDataflow measures the package-wide dataflow ablation
 // backing the paper's OS-only focus.
 func BenchmarkAblationDataflow(b *testing.B) {

@@ -78,7 +78,7 @@ func TestStageBoundaryChargesPerTerminalTransfer(t *testing.T) {
 		multi++
 		for k := d.depOff; k < d.depEnd; k++ {
 			dep := g.defs[g.depList[k]]
-			want := boundaryMs(s, dep.unit, d.unit)
+			want := transferMs(s, dep.unit, d.unit)
 			if g.depExtra[k] != want {
 				t.Errorf("task %s dep %d (%s): extra %.4f ms, want that terminal's transfer %.4f ms",
 					d.unit.Label(), k-d.depOff, dep.unit.Label(), g.depExtra[k], want)

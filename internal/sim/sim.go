@@ -10,8 +10,11 @@
 // global min-heap orders schedulable tasks by (feasible start, frame,
 // construction order). Chiplet occupancy only ever pushes a task's
 // feasible start later, so the heap is lazy: a popped entry whose start
-// went stale is re-keyed and reinserted instead of the whole ready set
-// being rescanned. The result is O(n log n)-ish against the O(n²)
+// went stale is re-keyed in place instead of the whole ready set being
+// rescanned. Frames are admitted lazily too: frames are visited in
+// arrival order, and a frame's zero-dependency tasks enter the heap
+// only once its arrival is no later than the heap top, so frames that
+// have not arrived yet do not deepen the heap. The result is O(n log n)-ish against the O(n²)
 // greedy rescan of RunGreedy while producing bit-for-bit identical
 // results (same task order, same floating-point accumulation order) —
 // TestEventDrivenMatchesGreedy holds the two engines together.
@@ -25,11 +28,16 @@
 // reproduces the original frame-major construction order exactly. The
 // event loop itself runs on pooled flat arrays (no per-task objects, no
 // map lookups, no interface boxing in the heap), so a streaming run
-// allocates almost nothing beyond its Result.
+// allocates little beyond its Result: per-frame latencies and the
+// per-chiplet busy slice (aligned with Graph.Coords). Link traffic
+// needs no simulation — it is the per-frame load times the frame
+// count — so Graph.LinkBytes computes it on demand and the Result
+// keeps only the busiest link's scalars.
 package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -63,6 +71,7 @@ type Graph struct {
 	depExtra []float64 // NoP latency charged on top of each dependency
 	succList []int32   // template-local successor indices
 	lastTmpl []int32   // template indices of the frame's terminal tasks
+	seeds    []int32   // template indices of zero-dependency tasks, ascending
 
 	coords    []nop.Coord // used chiplets, row-major order
 	coordList []int32     // per-def dense indices into coords
@@ -83,15 +92,13 @@ type Result struct {
 	// second half of the run: the realized pipelining latency.
 	SteadyIntervalMs float64
 	ThroughputFPS    float64
-	UtilPct          float64 // busy-PE-time / (PEs * makespan)
-	ChipletBusyMs    map[nop.Coord]float64
+	UtilPct          float64   // busy-PE-time / (PEs * makespan)
+	ChipletBusyMs    []float64 // per chiplet, aligned with Graph.Coords
 	FrameLatenciesMs []float64
 
-	// Per-link NoP traffic over the whole run (XY routes of every
-	// inter-unit transfer) and the busiest link's realized bandwidth
-	// demand — evidence for the paper's claim that the NoP never becomes
-	// the bottleneck.
-	LinkBytes          map[nop.Link]int64
+	// The busiest NoP link's traffic over the whole run and its realized
+	// bandwidth demand — evidence for the paper's claim that the NoP
+	// never becomes the bottleneck. Graph.LinkBytes has every link.
 	BusiestLinkBytes   int64
 	BusiestLinkGBps    float64 // busiest link bytes / makespan
 	LinkUtilizationPct float64 // busiest link demand / link bandwidth
@@ -188,6 +195,9 @@ func Prepare(s *sched.Schedule) (*Graph, error) {
 			g.coordList = append(g.coordList, coordIdx[c])
 		}
 		d.coordEnd = int32(len(g.coordList))
+		if d.depOff == d.depEnd {
+			g.seeds = append(g.seeds, int32(i))
+		}
 	}
 	for i := range g.defs {
 		g.defs[i].succOff = int32(len(g.succList))
@@ -200,6 +210,22 @@ func Prepare(s *sched.Schedule) (*Graph, error) {
 		}
 	}
 	return g, nil
+}
+
+// Coords returns the chiplets the schedule uses, in row-major order:
+// Result.ChipletBusyMs[i] is the busy time of Coords()[i]. The slice is
+// shared; callers must not modify it.
+func (g *Graph) Coords() []nop.Coord { return g.coords }
+
+// LinkBytes returns each NoP link's traffic over a run of `frames`
+// frame sets (XY routes of every inter-unit transfer). Every frame
+// moves the same bytes, so no simulation is needed.
+func (g *Graph) LinkBytes(frames int) map[nop.Link]int64 {
+	out := make(map[nop.Link]int64, len(g.linkBytes))
+	for l, b := range g.linkBytes {
+		out[l] = b * int64(frames)
+	}
+	return out
 }
 
 // startEvent is one heap entry: a schedulable task keyed by the feasible
@@ -258,20 +284,19 @@ func (h *eventHeap) push(e startEvent) {
 	h.up(len(*h) - 1)
 }
 
-func (h *eventHeap) popMin() startEvent {
-	old := *h
-	n := len(old) - 1
-	min := old[0]
-	old[0], old[n] = old[n], old[0]
-	*h = old[:n]
-	(*h).down(0)
-	return min
+// replaceMin overwrites the minimum with e and restores heap order: a
+// pop followed by a push, for one sift instead of two.
+func (h eventHeap) replaceMin(e startEvent) {
+	h[0] = e
+	h.down(0)
 }
 
-func (h eventHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
+func (h *eventHeap) removeMin() {
+	old := *h
+	n := len(old) - 1
+	old[0] = old[n]
+	*h = old[:n]
+	(*h).down(0)
 }
 
 // runScratch is the pooled flat working state of one Run: everything
@@ -283,16 +308,18 @@ type runScratch struct {
 	end     []float64
 	free    []float64
 	busy    []float64
+	order   []int32 // frame indices by (ReadyMs, frame): admission order
 	h       eventHeap
 }
 
 var scratchPool = sync.Pool{New: func() any { return &runScratch{} }}
 
-// grab sizes the scratch for n tasks over m chiplets. Only the
-// occupancy arrays need zeroing: waiting is fully initialized by the
-// caller, ready/end entries are written before any read (dependency
-// counters gate every read behind the writer).
-func (sc *runScratch) grab(n, m int) {
+// grab sizes the scratch for n tasks of `frames` frames over m
+// chiplets. Only the occupancy arrays need zeroing: waiting and order
+// are fully initialized by the caller, ready/end entries are written
+// before any read (dependency counters gate every read behind the
+// writer).
+func (sc *runScratch) grab(n, frames, m int) {
 	if cap(sc.waiting) < n {
 		sc.waiting = make([]int32, n)
 		sc.ready = make([]float64, n)
@@ -301,6 +328,10 @@ func (sc *runScratch) grab(n, m int) {
 	sc.waiting = sc.waiting[:n]
 	sc.ready = sc.ready[:n]
 	sc.end = sc.end[:n]
+	if cap(sc.order) < frames {
+		sc.order = make([]int32, frames)
+	}
+	sc.order = sc.order[:frames]
 	if cap(sc.free) < m {
 		sc.free = make([]float64, m)
 		sc.busy = make([]float64, m)
@@ -331,12 +362,24 @@ func (g *Graph) Run(frames int, gen *trace.Generator) (Result, error) {
 	n := frames * T
 	sc := scratchPool.Get().(*runScratch)
 	defer scratchPool.Put(sc)
-	sc.grab(n, len(g.coords))
+	sc.grab(n, frames, len(g.coords))
 
 	for f := 0; f < frames; f++ {
 		off := f * T
 		for li := range g.defs {
 			sc.waiting[off+li] = g.defs[li].depEnd - g.defs[li].depOff
+		}
+	}
+
+	// Admission order: frames by (ReadyMs, frame). Arrivals are nearly
+	// sorted but jitter beyond the frame period reorders them, so sort —
+	// insertion sort, stable and allocation-free.
+	for f := range sc.order {
+		sc.order[f] = int32(f)
+	}
+	for i := 1; i < frames; i++ {
+		for j := i; j > 0 && arrivals[sc.order[j]].ReadyMs < arrivals[sc.order[j-1]].ReadyMs; j-- {
+			sc.order[j], sc.order[j-1] = sc.order[j-1], sc.order[j]
 		}
 	}
 
@@ -353,30 +396,37 @@ func (g *Graph) Run(frames int, gen *trace.Generator) (Result, error) {
 		return start
 	}
 
-	// Seed the heap with every frame's zero-dependency tasks in seq
-	// order (matching the original frame-major construction order).
-	for f := 0; f < frames; f++ {
-		off := f * T
-		for li := range g.defs {
-			d := &g.defs[li]
-			if d.depOff == d.depEnd {
-				seq := off + li
-				sc.ready[seq] = arrivals[f].ReadyMs
-				sc.h = append(sc.h, startEvent{start: startOf(seq, li), seq: seq})
-			}
-		}
-	}
-	sc.h.init()
-
+	// A frame's zero-dependency tasks are keyed (ReadyMs, seq): every
+	// chiplet is free when a fully seeded heap would have pushed them.
+	// No key still outside the heap is below the next frame's ReadyMs,
+	// so admitting that frame whenever its ReadyMs is at most the heap
+	// top's start pops exactly the fully seeded heap's order.
+	admitted := 0
 	remaining := n
-	for len(sc.h) > 0 {
-		ev := sc.h.popMin()
+	for {
+		for admitted < frames {
+			f := int(sc.order[admitted])
+			ready := arrivals[f].ReadyMs
+			if len(sc.h) > 0 && ready > sc.h[0].start {
+				break
+			}
+			for _, li := range g.seeds {
+				seq := f*T + int(li)
+				sc.ready[seq] = ready
+				sc.h.push(startEvent{start: ready, seq: seq})
+			}
+			admitted++
+		}
+		if len(sc.h) == 0 {
+			break
+		}
+		ev := sc.h[0]
 		seq := ev.seq
 		li := seq % T
 		if cur := startOf(seq, li); cur > ev.start {
 			// Stale: a gang on one of this task's chiplets was scheduled
 			// after the entry was pushed. Re-key and retry.
-			sc.h.push(startEvent{start: cur, seq: seq})
+			sc.h.replaceMin(startEvent{start: cur, seq: seq})
 			continue
 		}
 		d := &g.defs[li]
@@ -387,6 +437,9 @@ func (g *Graph) Run(frames int, gen *trace.Generator) (Result, error) {
 			sc.busy[ci] += d.durMs
 		}
 		remaining--
+		// The executed entry stays at the top until its first newly
+		// ready successor can take its slot.
+		popped := false
 		base := seq - li
 		for _, si := range g.succList[d.succOff:d.succEnd] {
 			gs := base + int(si)
@@ -400,8 +453,17 @@ func (g *Graph) Run(frames int, gen *trace.Generator) (Result, error) {
 					}
 				}
 				sc.ready[gs] = ready
-				sc.h.push(startEvent{start: startOf(gs, int(si)), seq: gs})
+				e := startEvent{start: startOf(gs, int(si)), seq: gs}
+				if popped {
+					sc.h.push(e)
+				} else {
+					sc.h.replaceMin(e)
+					popped = true
+				}
 			}
+		}
+		if !popped {
+			sc.h.removeMin()
 		}
 	}
 	if remaining > 0 {
@@ -426,8 +488,8 @@ func Run(s *sched.Schedule, frames int, gen *trace.Generator) (Result, error) {
 }
 
 // summarize assembles the Result shared by both engines from the flat
-// end-time and busy arrays: summary metrics plus the whole-run NoP link
-// accounting (the per-frame link load times the frame count).
+// end-time and busy arrays: summary metrics plus the busiest link's
+// whole-run load (the per-frame load times the frame count).
 func (g *Graph) summarize(frames int, arrivals []trace.SetArrival, end, busy []float64) Result {
 	r := Result{Frames: frames}
 	T := len(g.defs)
@@ -470,10 +532,9 @@ func (g *Graph) summarize(frames int, arrivals []trace.SetArrival, end, busy []f
 	// Busy accounting in row-major coordinate order: float addition is
 	// not associative, so the fixed order keeps UtilPct identical
 	// between runs (g.coords is sorted at Prepare time).
-	r.ChipletBusyMs = make(map[nop.Coord]float64, len(g.coords))
+	r.ChipletBusyMs = slices.Clone(busy)
 	var busyPE float64
 	for i, c := range g.coords {
-		r.ChipletBusyMs[c] = busy[i]
 		if a := g.s.MCM.At(c); a != nil {
 			busyPE += busy[i] * float64(a.PEs)
 		}
@@ -482,10 +543,6 @@ func (g *Graph) summarize(frames int, arrivals []trace.SetArrival, end, busy []f
 		r.UtilPct = busyPE / (float64(g.s.MCM.TotalPEs()) * r.MakespanMs) * 100
 	}
 
-	r.LinkBytes = make(map[nop.Link]int64, len(g.linkBytes))
-	for l, b := range g.linkBytes {
-		r.LinkBytes[l] = b * int64(frames)
-	}
 	r.BusiestLinkBytes = g.maxLink * int64(frames)
 	if r.MakespanMs > 0 {
 		r.BusiestLinkGBps = float64(r.BusiestLinkBytes) / (r.MakespanMs * 1e-3) / 1e9
@@ -554,7 +611,3 @@ func transferMs(s *sched.Schedule, u, v *sched.Unit) float64 {
 	}
 	return worst
 }
-
-// boundaryMs estimates the stage-boundary NoP latency from one upstream
-// terminal.
-func boundaryMs(s *sched.Schedule, u, v *sched.Unit) float64 { return transferMs(s, u, v) }

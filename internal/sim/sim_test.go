@@ -6,6 +6,7 @@ import (
 
 	"mcmnpu/internal/chiplet"
 	"mcmnpu/internal/dataflow"
+	"mcmnpu/internal/nop"
 	"mcmnpu/internal/sched"
 	"mcmnpu/internal/trace"
 	"mcmnpu/internal/workloads"
@@ -115,11 +116,16 @@ func TestRunErrors(t *testing.T) {
 
 func TestLinkAccounting(t *testing.T) {
 	s := buildSchedule(t)
-	r, err := Run(s, 8, trace.NewGenerator(4))
+	g, err := Prepare(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.LinkBytes) == 0 || r.BusiestLinkBytes <= 0 {
+	r, err := g.Run(8, trace.NewGenerator(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	links := g.LinkBytes(8)
+	if len(links) == 0 || r.BusiestLinkBytes <= 0 {
 		t.Fatal("no link traffic recorded")
 	}
 	// The paper's conclusion: the NoP never becomes the bottleneck.
@@ -128,11 +134,58 @@ func TestLinkAccounting(t *testing.T) {
 		t.Errorf("busiest link at %.1f%% of capacity; expected << 100%%",
 			r.LinkUtilizationPct)
 	}
-	var total int64
-	for _, b := range r.LinkBytes {
+	var total, busiest int64
+	for _, b := range links {
 		total += b
+		if b > busiest {
+			busiest = b
+		}
+	}
+	if busiest != r.BusiestLinkBytes {
+		t.Errorf("busiest link in LinkBytes %d, Result reports %d", busiest, r.BusiestLinkBytes)
 	}
 	if total < r.BusiestLinkBytes {
 		t.Error("total link traffic below busiest link")
+	}
+	// Every frame moves the same bytes: traffic scales with the count.
+	for l, b := range g.LinkBytes(1) {
+		if links[l] != 8*b {
+			t.Errorf("link %v: %d bytes over 8 frames, %d over 1", l, links[l], b)
+		}
+	}
+}
+
+// TestChipletBusyAlignedWithCoords pins the Result's busy slice to
+// Graph.Coords: entry i is the busy time of Coords()[i], which is every
+// frame's run of each unit placed on that chiplet, and Coords is
+// row-major.
+func TestChipletBusyAlignedWithCoords(t *testing.T) {
+	s := buildSchedule(t)
+	g, err := Prepare(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const frames = 8
+	r, err := g.Run(frames, trace.NewGenerator(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	coords := g.Coords()
+	if len(r.ChipletBusyMs) != len(coords) {
+		t.Fatalf("%d busy entries for %d chiplets", len(r.ChipletBusyMs), len(coords))
+	}
+	want := map[nop.Coord]float64{}
+	for _, d := range g.defs {
+		for _, c := range d.unit.Chiplets {
+			want[c] += frames * d.unit.PerShardMs
+		}
+	}
+	for i, c := range coords {
+		if i > 0 && (c.Y < coords[i-1].Y || c.Y == coords[i-1].Y && c.X <= coords[i-1].X) {
+			t.Errorf("coords not row-major at %d: %v after %v", i, c, coords[i-1])
+		}
+		if got := r.ChipletBusyMs[i]; math.Abs(got-want[c]) > 1e-9*want[c] {
+			t.Errorf("chiplet %v busy %.6f ms, want %.6f", c, got, want[c])
+		}
 	}
 }

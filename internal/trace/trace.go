@@ -73,16 +73,22 @@ func (g *Generator) Frames(n int) []Frame {
 	for seq := 0; seq < n; seq++ {
 		base := float64(seq) * period
 		for cam := 0; cam < g.Cameras; cam++ {
-			arr := base + r.uniform()*g.JitterMs
-			if arr < 0 {
-				arr = 0
-			}
-			out = append(out, Frame{Seq: seq, Camera: cam, ArrivalMs: arr, Bytes: g.FrameSize})
+			out = append(out, Frame{Seq: seq, Camera: cam, ArrivalMs: g.arrival(&r, base), Bytes: g.FrameSize})
 		}
 	}
 	// Arrival order within a frame set can interleave; sort stably.
 	sortFrames(out)
 	return out
+}
+
+// arrival draws one camera's arrival for a set due at base: bounded
+// jitter, clamped at zero.
+func (g *Generator) arrival(r *rng, base float64) float64 {
+	arr := base + r.uniform()*g.JitterMs
+	if arr < 0 {
+		arr = 0
+	}
+	return arr
 }
 
 func sortFrames(fs []Frame) {
@@ -102,18 +108,33 @@ type SetArrival struct {
 }
 
 // FrameSets reduces the stream to per-set readiness times (last camera's
-// arrival gates the set).
+// arrival gates the set). It draws the same arrivals as Frames, in the
+// same order, and keeps each set's running max — the max does not
+// depend on order, so the sets equal the per-Seq max over Frames(n)
+// without materializing it. A generator without cameras or frame rate
+// yields n sets ready at 0.
 func (g *Generator) FrameSets(n int) []SetArrival {
-	frames := g.Frames(n)
-	ready := make(map[int]float64, n)
-	for _, f := range frames {
-		if f.ArrivalMs > ready[f.Seq] {
-			ready[f.Seq] = f.ArrivalMs
-		}
+	if n <= 0 {
+		return []SetArrival{}
 	}
-	out := make([]SetArrival, 0, n)
-	for seq := 0; seq < n; seq++ {
-		out = append(out, SetArrival{Seq: seq, ReadyMs: ready[seq]})
+	out := make([]SetArrival, n)
+	for seq := range out {
+		out[seq].Seq = seq
+	}
+	if g.Cameras <= 0 || g.FPS <= 0 {
+		return out
+	}
+	r := rng{state: g.seed}
+	period := 1e3 / g.FPS
+	for seq := range out {
+		base := float64(seq) * period
+		var ready float64
+		for cam := 0; cam < g.Cameras; cam++ {
+			if arr := g.arrival(&r, base); arr > ready {
+				ready = arr
+			}
+		}
+		out[seq].ReadyMs = ready
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -153,5 +154,36 @@ func TestSetCompletenessProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// Property: FrameSets is the per-Seq max-reduction of Frames — the set
+// is ready when its last camera arrives — across seeds, camera counts
+// and jitters, including jitter wider than the frame period (sets
+// arrive out of order), generators without cameras, and n = 0.
+func TestFrameSetsMatchFramesProperty(t *testing.T) {
+	for _, seed := range []uint64{1, 7, 42, 1 << 40} {
+		for _, cams := range []int{0, 1, 5, 8, 12} {
+			for _, jitter := range []float64{0, 1.5, 80, 1000} {
+				for _, n := range []int{0, 1, 9, 40} {
+					g := NewGenerator(seed)
+					g.Cameras, g.JitterMs = cams, jitter
+					want := make([]SetArrival, n)
+					for seq := range want {
+						want[seq].Seq = seq
+					}
+					for _, f := range g.Frames(n) {
+						if f.ArrivalMs > want[f.Seq].ReadyMs {
+							want[f.Seq].ReadyMs = f.ArrivalMs
+						}
+					}
+					got := g.FrameSets(n)
+					if got == nil || !reflect.DeepEqual(got, want) {
+						t.Errorf("seed %d cams %d jitter %v n %d: FrameSets %v, max over Frames %v",
+							seed, cams, jitter, n, got, want)
+					}
+				}
+			}
+		}
 	}
 }
