@@ -569,3 +569,53 @@ func BenchmarkSchedulerOnly(b *testing.B) {
 		fmt.Printf("scheduler end-to-end: pipe %.1f ms util %.1f%%\n\n", m.PipeLatMs, m.UtilPct)
 	})
 }
+
+// BenchmarkTemplateBuild is the layer benchmark of sched.Build, the
+// Algorithm 1 step every request pays: all 10 registry scenarios, each
+// compiled to a template once, built serially per iteration against a
+// warm engine cache. It times the greedy loop itself — unit costing,
+// placement, bookkeeping — with no cost-model misses.
+func BenchmarkTemplateBuild(b *testing.B) {
+	eng := sweep.New(1)
+	type target struct {
+		tmpl   *sched.Template
+		bundle scenario.Bundle
+	}
+	var targets []target
+	for _, sp := range scenario.Registry() {
+		bd, err := sp.Compile()
+		if err != nil {
+			b.Fatal(err)
+		}
+		bd.Sched.Cache = eng.Cache()
+		p, err := workloads.Perception(bd.Config)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tmpl, err := sched.NewTemplate(p, bd.MCM)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := tmpl.Build(bd.MCM, bd.Sched); err != nil { // warm the cache
+			b.Fatal(err)
+		}
+		targets = append(targets, target{tmpl, bd})
+	}
+	steps := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		steps = 0
+		for _, t := range targets {
+			s, err := t.tmpl.Build(t.bundle.MCM, t.bundle.Sched)
+			if err != nil {
+				b.Fatal(err)
+			}
+			steps += len(s.Steps)
+		}
+	}
+	b.StopTimer()
+	printTable("template-build", func() {
+		fmt.Printf("template build: %d scenarios, %d greedy steps per pass\n\n", len(targets), steps)
+	})
+}

@@ -57,6 +57,8 @@ type Schedule struct {
 
 	// InterStage transfers connect consecutive stages' boundary units.
 	InterStage []nop.Transfer
+
+	load []float64 // record's per-mesh-position scratch for pipeLatInto
 }
 
 // Build runs Algorithm 1: quadrant allocation, initial per-layer
@@ -419,10 +421,13 @@ func (s *Schedule) record(action, stage string) {
 	for _, ss := range s.Stages {
 		free += len(ss.idleCoords())
 	}
+	if s.load == nil {
+		s.load = make([]float64, s.MCM.GridW*s.MCM.GridH)
+	}
 	s.Steps = append(s.Steps, Step{
 		Action:       action,
 		Stage:        stage,
-		PipeLatMs:    s.PipeLatMs(),
+		PipeLatMs:    s.pipeLatInto(s.load),
 		BaseMs:       s.BaseMs,
 		ChipletsFree: free,
 	})
@@ -431,16 +436,23 @@ func (s *Schedule) record(action, stage string) {
 // PipeLatMs returns the schedule's layerwise pipelining latency: the
 // maximum per-chiplet busy time, accumulated globally so that chiplets
 // shared between stages (the few-chip baselines) carry the sum of their
-// stage loads.
+// stage loads. Safe for concurrent use on a built schedule.
 func (s *Schedule) PipeLatMs() float64 {
-	load := make(map[nop.Coord]float64)
+	return s.pipeLatInto(make([]float64, s.MCM.GridW*s.MCM.GridH))
+}
+
+// pipeLatInto computes PipeLatMs with load as the dense per-mesh-
+// position accumulator (zeroed here). Each chiplet's sum keeps the
+// stage, unit, shard accumulation order; the max is order-free.
+func (s *Schedule) pipeLatInto(load []float64) float64 {
+	clear(load)
 	for i, ss := range s.Stages {
 		if i >= len(s.Pipeline.Stages) {
 			continue // surplus sentinel
 		}
 		for _, u := range ss.Units {
 			for _, c := range u.Chiplets {
-				load[c] += u.PerShardMs
+				load[c.Y*s.MCM.GridW+c.X] += u.PerShardMs
 			}
 		}
 	}

@@ -259,7 +259,7 @@ func TestMCMBeatsMonolithicThroughput(t *testing.T) {
 func TestUnitSegmentBalance(t *testing.T) {
 	p, _ := workloads.Perception(workloads.DefaultConfig())
 	st := p.Stages[workloads.StageFE]
-	ss := newStageSchedule(0, st, chiplet.Simba36(dataflow.OS).Coords()[:9], chiplet.Simba36(dataflow.OS), nil)
+	ss := stageFromSpecs(0, st.Name, decomposeStage(st), chiplet.Simba36(dataflow.OS).Coords()[:9], chiplet.Simba36(dataflow.OS), nil)
 	u := ss.Units[0]
 	a := ss.mcm.At(ss.Pool[0])
 	if err := u.evalOn(a, nil); err != nil {
@@ -281,7 +281,8 @@ func TestUnitSegmentBalance(t *testing.T) {
 
 func TestNextShardsDivisors(t *testing.T) {
 	p, _ := workloads.Perception(workloads.DefaultConfig())
-	ss := newStageSchedule(2, p.Stages[workloads.StageTFuse],
+	st := p.Stages[workloads.StageTFuse]
+	ss := stageFromSpecs(2, st.Name, decomposeStage(st),
 		chiplet.Simba36(dataflow.OS).Coords()[:9], chiplet.Simba36(dataflow.OS), nil)
 	for _, u := range ss.Units {
 		if u.Nodes[0].Layer.Name == "T_FFN_fc1" {

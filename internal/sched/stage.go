@@ -2,12 +2,11 @@ package sched
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"mcmnpu/internal/chiplet"
 	"mcmnpu/internal/costmodel"
 	"mcmnpu/internal/nop"
-	"mcmnpu/internal/workloads"
 )
 
 // StageSchedule holds the mapping of one pipeline stage onto its chiplet
@@ -31,8 +30,8 @@ type StageSchedule struct {
 	cache *costmodel.Cache
 
 	// Reusable working state: Algorithm 1 refreshes each stage dozens
-	// of times per schedule, so per-refresh maps and slices are owned
-	// by the stage and cleared instead of reallocated.
+	// of times per schedule, so per-refresh slices are owned by the
+	// stage and cleared instead of reallocated.
 	scratch stageScratch
 }
 
@@ -44,59 +43,44 @@ type chainGroup struct {
 }
 
 type stageScratch struct {
-	load   map[nop.Coord]float64
-	order  []*Unit
-	loads  []float64 // per-pool-index packed load (place)
-	cands  []int32   // pool indices under the placement sort
-	groups []chainGroup
-	busy   map[nop.Coord]bool
-	idle   []nop.Coord
-	probed map[*costmodel.Accel]float64 // per-unit heterogeneous probe memo
+	order   []*Unit
+	weights []float64 // order's LPT weights, sorted alongside it
+	loads   []float64 // per-pool-index packed load (place)
+	sel     []int32   // pool indices picked for one unit (place)
+	groups  []chainGroup
+	idle    []nop.Coord
+
+	// Dense per-mesh-position state, indexed by meshIdx: the stage's
+	// per-chiplet load (computeMetrics) and busy marks (idleCoords).
+	meshLoad []float64
+	meshBusy []bool
+
+	// Pool homogeneity, decided once per pool change rather than per
+	// (unit, chiplet) pair: odd marks (by mesh position) the pool
+	// chiplets whose configuration differs from the reference
+	// chiplet's, hetero reports whether any does, and oddPool is the
+	// pool the marks were computed for.
+	odd     []bool
+	hetero  bool
+	oddPool []nop.Coord
 }
 
-func (s *stageScratch) loadMap() map[nop.Coord]float64 {
-	if s.load == nil {
-		s.load = make(map[nop.Coord]float64)
-	} else {
-		clear(s.load)
-	}
-	return s.load
-}
+// meshIdx is c's dense row-major index on the stage's mesh.
+func (ss *StageSchedule) meshIdx(c nop.Coord) int { return c.Y*ss.mcm.GridW + c.X }
 
-func (s *stageScratch) probedMap() map[*costmodel.Accel]float64 {
-	if s.probed == nil {
-		s.probed = make(map[*costmodel.Accel]float64)
-	} else {
-		clear(s.probed)
-	}
-	return s.probed
-}
-
-func (s *stageScratch) busyMap() map[nop.Coord]bool {
-	if s.busy == nil {
-		s.busy = make(map[nop.Coord]bool)
-	} else {
-		clear(s.busy)
-	}
-	return s.busy
-}
-
-// newStageSchedule builds the initial unit decomposition for a stage
-// (one-shot form of decomposeStage + stageFromSpecs; see template.go
-// for the decomposition rules).
-func newStageSchedule(idx int, st workloads.Stage, pool []nop.Coord, m *chiplet.MCM, cache *costmodel.Cache) *StageSchedule {
-	return stageFromSpecs(idx, st.Name, decomposeStage(st), pool, m, cache)
-}
+// meshSize is the number of mesh positions of the stage's package.
+func (ss *StageSchedule) meshSize() int { return ss.mcm.GridW * ss.mcm.GridH }
 
 // refresh re-evaluates unit costs, re-places units onto the pool (LPT),
-// and recomputes the stage metrics.
+// and recomputes the stage metrics. Only units a greedy step touched
+// are re-costed: evalOn answers the rest from their memo.
 //
 //perf:hot — called per improvement iteration per stage; uses stageScratch, not fresh slices
 func (ss *StageSchedule) refresh() error {
 	if len(ss.Pool) == 0 {
 		return fmt.Errorf("sched: stage %s has an empty chiplet pool", ss.Name)
 	}
-	// Evaluate on the pool's (homogeneous) accelerator.
+	// Evaluate on the pool's reference accelerator.
 	ref := ss.mcm.At(ss.Pool[0])
 	for _, u := range ss.Units {
 		if u.Shards > int64(len(ss.Pool)) {
@@ -107,34 +91,58 @@ func (ss *StageSchedule) refresh() error {
 		}
 	}
 	ss.place()
-	// Re-evaluate heterogeneous pools against their actual chiplets. A
-	// chiplet whose configuration equals the reference (most pools are
-	// homogeneous meshes of distinct-but-identical Accel objects) would
-	// probe to exactly u.PerShardMs — the cost model reads values, not
-	// identities — so only genuinely different configurations probe, and
-	// each distinct accelerator object probes once per unit (typed
-	// packages share one accel instance per type, so a unit spread over
-	// k chiplets of one non-reference type costs one probe, not k).
+	if ss.markOdd(ref) {
+		if err := ss.probeHetero(); err != nil {
+			return err
+		}
+	}
+	ss.computeMetrics()
+	return nil
+}
+
+// markOdd refreshes the pool's homogeneity marks when the pool changed
+// since the last call and reports whether any pool chiplet differs
+// from the reference accelerator ref (the chiplet at Pool[0]).
+func (ss *StageSchedule) markOdd(ref *costmodel.Accel) bool {
+	sc := &ss.scratch
+	if sc.odd != nil && slices.Equal(sc.oddPool, ss.Pool) {
+		return sc.hetero
+	}
+	if sc.odd == nil {
+		sc.odd = make([]bool, ss.meshSize())
+	} else {
+		clear(sc.odd)
+	}
+	sc.hetero = false
+	for _, c := range ss.Pool {
+		if a := ss.mcm.At(c); a != ref && !costmodel.AccelEquivalent(a, ref) {
+			sc.odd[ss.meshIdx(c)] = true
+			sc.hetero = true
+		}
+	}
+	sc.oddPool = append(sc.oddPool[:0], ss.Pool...)
+	return sc.hetero
+}
+
+// probeHetero re-evaluates units placed on a heterogeneous pool against
+// their actual chiplets: a unit's per-shard latency becomes its slowest
+// shard's. A chiplet whose configuration equals the reference would
+// probe to exactly u.PerShardMs — the cost model reads values, not
+// identities — so only the chiplets markOdd flagged probe, through the
+// unit's per-(accelerator, shard count) probe memo (typed packages
+// share one accel instance per type, so a unit spread over k chiplets
+// of one non-reference type costs one probe, not k).
+func (ss *StageSchedule) probeHetero() error {
 	for _, u := range ss.Units {
 		worst := 0.0
-		var probed map[*costmodel.Accel]float64
 		for _, c := range u.Chiplets {
-			a := ss.mcm.At(c)
-			if a == ref || costmodel.AccelEquivalent(a, ref) {
+			if !ss.scratch.odd[ss.meshIdx(c)] {
 				worst = maxf(worst, u.PerShardMs)
 				continue
 			}
-			if probed == nil {
-				probed = ss.scratch.probedMap()
-			}
-			ms, ok := probed[a]
-			if !ok {
-				probe := *u
-				if err := (&probe).evalOn(a, ss.cache); err != nil {
-					return err
-				}
-				ms = probe.PerShardMs
-				probed[a] = ms
+			ms, err := u.probeMs(ss.mcm.At(c), ss.cache)
+			if err != nil {
+				return err
 			}
 			worst = maxf(worst, ms)
 		}
@@ -142,7 +150,6 @@ func (ss *StageSchedule) refresh() error {
 			u.PerShardMs = worst
 		}
 	}
-	ss.computeMetrics()
 	return nil
 }
 
@@ -155,25 +162,32 @@ func (ss *StageSchedule) place() {
 		ss.scratch.loads = make([]float64, len(ss.Pool))
 	}
 	loads := ss.scratch.loads[:len(ss.Pool)]
-	for i := range loads {
-		loads[i] = 0
-	}
+	clear(loads)
+	// Heaviest first, stable: an insertion sort on precomputed weights
+	// orders exactly as sort.SliceStable on the same comparison.
 	order := append(ss.scratch.order[:0], ss.Units...)
-	ss.scratch.order = order
-	sort.SliceStable(order, func(i, j int) bool {
-		return order[i].PerShardMs*float64(order[i].Shards) >
-			order[j].PerShardMs*float64(order[j].Shards)
-	})
+	w := ss.scratch.weights[:0]
+	for _, u := range order {
+		w = append(w, u.PerShardMs*float64(u.Shards))
+	}
+	for i := 1; i < len(order); i++ {
+		for j := i; j > 0 && w[j] > w[j-1]; j-- {
+			order[j], order[j-1] = order[j-1], order[j]
+			w[j], w[j-1] = w[j-1], w[j]
+		}
+	}
+	ss.scratch.order, ss.scratch.weights = order, w
 	for _, u := range order {
 		n := int(u.Shards)
 		if n > len(ss.Pool) {
 			n = len(ss.Pool)
 		}
 		idxs := ss.leastLoaded(loads, n)
-		//lint:allow hotpathalloc -- coords escapes as u.Chiplets, the placement's per-unit output; reusing scratch here would alias every unit's slice
-		coords := make([]nop.Coord, len(idxs))
-		for i, ix := range idxs {
-			coords[i] = ss.Pool[ix]
+		// A unit's chiplet slice is its own (nothing else holds it past
+		// a refresh), so the next placement reuses its backing array.
+		coords := u.Chiplets[:0]
+		for _, ix := range idxs {
+			coords = append(coords, ss.Pool[ix])
 		}
 		sortCoords(coords)
 		u.Chiplets = coords
@@ -183,36 +197,45 @@ func (ss *StageSchedule) place() {
 	}
 }
 
-// leastLoaded picks the n pool indices with minimal load, deterministic
-// by pool (row-major) order on ties: the candidate list starts in pool
-// order and the insertion sort is stable, matching the
-// sort.SliceStable behaviour it replaces.
+// leastLoaded picks the n pool indices with minimal load, ties broken by
+// pool order — the first n of a stable sort of the pool by load — by
+// stable selection into a bounded buffer: a later index displaces the
+// buffer's last entry only on a strictly smaller load.
 func (ss *StageSchedule) leastLoaded(loads []float64, n int) []int32 {
-	cands := ss.scratch.cands[:0]
-	for i := range ss.Pool {
-		cands = append(cands, int32(i))
+	if n > len(loads) {
+		n = len(loads)
 	}
-	ss.scratch.cands = cands
-	for i := 1; i < len(cands); i++ {
-		for j := i; j > 0 && loads[cands[j]] < loads[cands[j-1]]; j-- {
-			cands[j], cands[j-1] = cands[j-1], cands[j]
+	sel := ss.scratch.sel[:0]
+	for i := range loads {
+		switch {
+		case len(sel) < n:
+			sel = append(sel, int32(i))
+		case n > 0 && loads[i] < loads[sel[n-1]]:
+			sel[n-1] = int32(i)
+		default:
+			continue
+		}
+		for j := len(sel) - 1; j > 0 && loads[sel[j]] < loads[sel[j-1]]; j-- {
+			sel[j], sel[j-1] = sel[j-1], sel[j]
 		}
 	}
-	if n > len(cands) {
-		n = len(cands)
-	}
-	return cands[:n]
+	ss.scratch.sel = sel
+	return sel
 }
 
 // computeMetrics derives pipe latency, E2E, energy and intra-stage NoP
 // traffic from the current placement.
 func (ss *StageSchedule) computeMetrics() {
-	load := ss.scratch.loadMap()
+	if ss.scratch.meshLoad == nil {
+		ss.scratch.meshLoad = make([]float64, ss.meshSize())
+	}
+	load := ss.scratch.meshLoad
+	clear(load)
 	ss.EnergyJ = 0
 	ss.MACs = 0
 	for _, u := range ss.Units {
 		for _, c := range u.Chiplets {
-			load[c] += u.PerShardMs
+			load[ss.meshIdx(c)] += u.PerShardMs
 		}
 		ss.EnergyJ += u.EnergyJ
 		ss.MACs += u.MACs
@@ -306,25 +329,22 @@ func (ss *StageSchedule) linkUnits(u, v *Unit) float64 {
 	return worst
 }
 
-// busyChiplets returns coords with assigned work. The map is stage
-// scratch — valid until the next busyChiplets/idleCoords call.
-func (ss *StageSchedule) busyChiplets() map[nop.Coord]bool {
-	busy := ss.scratch.busyMap()
-	for _, u := range ss.Units {
-		for _, c := range u.Chiplets {
-			busy[c] = true
-		}
-	}
-	return busy
-}
-
 // idleCoords returns pool coords with no assigned work. The slice is
 // stage scratch — valid until the next idleCoords call.
 func (ss *StageSchedule) idleCoords() []nop.Coord {
-	busy := ss.busyChiplets()
+	if ss.scratch.meshBusy == nil {
+		ss.scratch.meshBusy = make([]bool, ss.meshSize())
+	}
+	busy := ss.scratch.meshBusy
+	clear(busy)
+	for _, u := range ss.Units {
+		for _, c := range u.Chiplets {
+			busy[ss.meshIdx(c)] = true
+		}
+	}
 	idle := ss.scratch.idle[:0]
 	for _, c := range ss.Pool {
-		if !busy[c] {
+		if !busy[ss.meshIdx(c)] {
 			idle = append(idle, c)
 		}
 	}

@@ -15,7 +15,6 @@ package sched
 
 import (
 	"fmt"
-	"sort"
 
 	"mcmnpu/internal/costmodel"
 	"mcmnpu/internal/dnn"
@@ -41,6 +40,32 @@ type Unit struct {
 	PerShardMs float64
 	EnergyJ    float64 // total across shards
 	MACs       int64   // total across shards
+
+	// memo holds the costs of the last evalOn, probes the costs the
+	// heterogeneous probe evaluated on other accelerators, and split
+	// the last segmentation plan. A unit's cost is a pure function of
+	// (Nodes, Shards, accelerator), and Nodes never changes after
+	// construction, so Algorithm 1 re-costs only units whose shard
+	// count or reference accelerator moved.
+	memo   unitCost
+	probes []unitCost
+	split  unitSplit
+}
+
+// unitSplit memoizes segment: the cut index and both halves' costs on
+// the accelerator first.accel.
+type unitSplit struct {
+	cut           int
+	first, second unitCost
+}
+
+// unitCost is one memoized evaluation of a unit: its costs on accel at
+// a shard count.
+type unitCost struct {
+	accel  *costmodel.Accel
+	shards int64
+	ms, ej float64
+	macs   int64
 }
 
 // Label returns a stable display name for the unit.
@@ -59,24 +84,54 @@ func (u *Unit) Label() string {
 // given accelerator. For multi-node units the nodes run serially on one
 // chiplet; for sharded single-node units each shard holds a 1/Shards
 // slice with weights replicated. Costs go through the cache (nil is
-// valid and evaluates uncached): Algorithm 1 re-evaluates the same
-// (layer, shard count) pairs on every greedy iteration.
+// valid and evaluates uncached). The result is memoized on the unit
+// against (accelerator, Shards): a repeat call with neither changed —
+// every unit a greedy step did not touch — returns the memo without a
+// single cache lookup. A rolled-back shard count or a new reference
+// chiplet misses and re-costs.
 func (u *Unit) evalOn(a *costmodel.Accel, cache *costmodel.Cache) error {
-	var ms, ej float64
-	var macs int64
-	for _, n := range u.Nodes {
-		c, err := cache.ShardedLayerOn(n.Layer, u.Shards, a)
+	if u.memo.accel != a || u.memo.shards != u.Shards {
+		c, err := u.cost(a, cache)
 		if err != nil {
-			return fmt.Errorf("sched: unit %s: %w", u.Label(), err)
+			return err
 		}
-		ms += c.LatencyMs
-		ej += c.EnergyJ * float64(u.Shards)
-		macs += n.Layer.MACs()
+		u.memo = c
 	}
-	u.PerShardMs = ms
-	u.EnergyJ = ej
-	u.MACs = macs
+	u.PerShardMs, u.EnergyJ, u.MACs = u.memo.ms, u.memo.ej, u.memo.macs
 	return nil
+}
+
+// probeMs returns the unit's per-shard latency on a at its current
+// shard count without touching its reference costs, memoized per
+// (accelerator, Shards): the heterogeneous probe of refresh asks the
+// same few questions on every greedy iteration.
+func (u *Unit) probeMs(a *costmodel.Accel, cache *costmodel.Cache) (float64, error) {
+	for _, p := range u.probes {
+		if p.accel == a && p.shards == u.Shards {
+			return p.ms, nil
+		}
+	}
+	c, err := u.cost(a, cache)
+	if err != nil {
+		return 0, err
+	}
+	u.probes = append(u.probes, c)
+	return c.ms, nil
+}
+
+// cost evaluates the unit on a at its current shard count.
+func (u *Unit) cost(a *costmodel.Accel, cache *costmodel.Cache) (unitCost, error) {
+	c := unitCost{accel: a, shards: u.Shards}
+	for _, n := range u.Nodes {
+		lc, err := cache.ShardedLayerOn(n.Layer, u.Shards, a)
+		if err != nil {
+			return unitCost{}, fmt.Errorf("sched: unit %s: %w", u.Label(), err)
+		}
+		c.ms += lc.LatencyMs
+		c.ej += lc.EnergyJ * float64(u.Shards)
+		c.macs += n.Layer.MACs()
+	}
+	return c, nil
 }
 
 // maxShards returns the largest useful shard factor for the unit.
@@ -122,32 +177,23 @@ func (u *Unit) canSegment() bool { return len(u.Nodes) > 1 }
 // segment splits the unit into two pipeline segments at the balanced
 // cumulative-latency point (the paper splits FE+BFPN at the fourth
 // ResNet block this way in the dual-NPU study). Costs are computed on a
-// through the cache (nil evaluates uncached).
+// through the cache (nil evaluates uncached). The cut and both halves'
+// costs are memoized per accelerator: a split that was rolled back is
+// retried after its stage's pool grows, and the retry needs no cost
+// lookups.
 func (u *Unit) segment(a *costmodel.Accel, cache *costmodel.Cache) (*Unit, *Unit, error) {
 	if !u.canSegment() {
 		return nil, nil, fmt.Errorf("sched: unit %s cannot segment", u.Label())
 	}
-	lat := make([]float64, len(u.Nodes))
-	var total float64
-	for i, n := range u.Nodes {
-		lat[i] = cache.LayerOn(n.Layer, a).LatencyMs
-		total += lat[i]
+	if u.split.first.accel != a {
+		u.planSplit(a, cache)
 	}
-	var acc float64
-	cut := 1
-	bestDiff := total
-	for i := 0; i < len(u.Nodes)-1; i++ {
-		acc += lat[i]
-		diff := abs64(acc - (total - acc))
-		if diff < bestDiff {
-			bestDiff = diff
-			cut = i + 1
-		}
-	}
+	cut := u.split.cut
 	first := &Unit{StageIdx: u.StageIdx, Model: u.Model, Replica: u.Replica,
-		Nodes: u.Nodes[:cut], Shards: 1}
+		Nodes: u.Nodes[:cut], Shards: 1, memo: u.split.first}
 	second := &Unit{StageIdx: u.StageIdx, Model: u.Model, Replica: u.Replica,
-		Nodes: u.Nodes[cut:], Shards: 1}
+		Nodes: u.Nodes[cut:], Shards: 1, memo: u.split.second}
+	// Both memos match (a, 1), so evalOn only publishes the costs.
 	if err := first.evalOn(a, cache); err != nil {
 		return nil, nil, err
 	}
@@ -155,6 +201,50 @@ func (u *Unit) segment(a *costmodel.Accel, cache *costmodel.Cache) (*Unit, *Unit
 		return nil, nil, err
 	}
 	return first, second, nil
+}
+
+// planSplit computes the balanced cut of the unit on a and both halves'
+// costs into u.split, with one cost lookup per node.
+func (u *Unit) planSplit(a *costmodel.Accel, cache *costmodel.Cache) {
+	n := len(u.Nodes)
+	buf := make([]float64, 2*n)
+	lat, ej := buf[:n], buf[n:]
+	var total float64
+	for i, nd := range u.Nodes {
+		c := cache.LayerOn(nd.Layer, a)
+		lat[i], ej[i] = c.LatencyMs, c.EnergyJ
+		total += lat[i]
+	}
+	var acc float64
+	cut := 1
+	bestDiff := total
+	for i := 0; i < n-1; i++ {
+		acc += lat[i]
+		diff := abs64(acc - (total - acc))
+		if diff < bestDiff {
+			bestDiff = diff
+			cut = i + 1
+		}
+	}
+	u.split = unitSplit{
+		cut:    cut,
+		first:  unshardedCost(a, u.Nodes[:cut], lat[:cut], ej[:cut]),
+		second: unshardedCost(a, u.Nodes[cut:], lat[cut:], ej[cut:]),
+	}
+}
+
+// unshardedCost sums a one-shard unit's cost from its nodes' layer
+// latencies and energies in node order. A layer's one-way shard is a
+// field-for-field copy of it, so this is bit-for-bit what cost returns
+// at Shards == 1, without a second lookup per node.
+func unshardedCost(a *costmodel.Accel, nodes []*dnn.Node, lat, ej []float64) unitCost {
+	c := unitCost{accel: a, shards: 1}
+	for i, nd := range nodes {
+		c.ms += lat[i]
+		c.ej += ej[i]
+		c.macs += nd.Layer.MACs()
+	}
+	return c
 }
 
 func abs64(v float64) float64 {
@@ -180,11 +270,19 @@ func (u *Unit) containsNode(id int) bool {
 	return false
 }
 
+// sortCoords orders coordinates row-major. Insertion sort: placements
+// hold 1-18 coordinates, and it allocates nothing.
 func sortCoords(cs []nop.Coord) {
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].Y != cs[j].Y {
-			return cs[i].Y < cs[j].Y
+	for i := 1; i < len(cs); i++ {
+		for j := i; j > 0 && coordLess(cs[j], cs[j-1]); j-- {
+			cs[j], cs[j-1] = cs[j-1], cs[j]
 		}
-		return cs[i].X < cs[j].X
-	})
+	}
+}
+
+func coordLess(a, b nop.Coord) bool {
+	if a.Y != b.Y {
+		return a.Y < b.Y
+	}
+	return a.X < b.X
 }
