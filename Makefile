@@ -86,14 +86,16 @@ BENCH_RUN = $(GO) test -run=NONE -bench=. -benchtime=1x -count=5 -benchmem ./...
 # ALLOC_GUARD names the hot-path benchmarks whose allocs/op growth
 # beyond 30% fails the bench lane like a time regression: allocation
 # counts are deterministic, so drift there is a real change, not noise.
-ALLOC_GUARD = BenchmarkSchedulerOnly,BenchmarkDiscreteEventSim,BenchmarkScenarioRunLong
+ALLOC_GUARD = BenchmarkSchedulerOnly,BenchmarkDiscreteEventSim,BenchmarkScenarioRunLong,BenchmarkTemplateBuild
 
 # REQUIRE_BENCH names the benchmarks the bench lane must keep
 # measuring: if one disappears from either artifact the gate fails
 # instead of silently skipping it. The worker-scaling ladder grades the
 # ROADMAP's parallel-scaling work; BenchmarkScenarioRunLong is the
-# layer benchmark of the simulator path behind long /v1/run requests.
-REQUIRE_BENCH = BenchmarkSweepGridParallel2,BenchmarkSweepGridParallel4,BenchmarkSweepGridParallel8,BenchmarkScenarioRunLong
+# layer benchmark of the simulator path behind long /v1/run requests
+# and BenchmarkTemplateBuild the layer benchmark of Algorithm 1
+# (sched.Build), which every request pays.
+REQUIRE_BENCH = BenchmarkSweepGridParallel2,BenchmarkSweepGridParallel4,BenchmarkSweepGridParallel8,BenchmarkScenarioRunLong,BenchmarkTemplateBuild
 
 # SCALING_GATE is the committed parallel-speedup contract: the current
 # artifact's Serial/Parallel8 median ratio per ladder must clear the
@@ -140,6 +142,7 @@ loadtest:
 golden:
 	$(GO) test ./internal/experiments -run TestGolden -update
 	$(GO) test ./internal/scenario -run TestListTableGolden -update
+	$(GO) test ./internal/sched -run TestScheduleGolden -update
 	$(GO) test ./cmd/pareto -run TestTopTableGolden -update
 	$(GO) test ./internal/api -run TestRequestKeyGolden -update
 

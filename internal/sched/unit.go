@@ -11,6 +11,20 @@
 // Surplus (idle) chiplets migrate from over-provisioned stages to
 // bottleneck stages, reproducing the paper's Figures 5-8 mappings and
 // the Fig 10 dual-NPU progression.
+//
+// Unit costing is incremental. A unit's cost is a pure function of its
+// nodes (fixed at construction), its shard count and the accelerator it
+// is evaluated on, so each Unit memoizes its last evaluation keyed by
+// (accelerator pointer, Shards). A stage refresh after a greedy step
+// re-costs only the units that step touched: the new segments of a
+// split, a unit whose shard count changed, or every unit of a stage
+// whose reference chiplet (Pool[0]) moved when a borrow reshaped its
+// pool. A rollback restores Shards, so the memo misses and the unit
+// re-costs to exactly its earlier values. The heterogeneous probe
+// keeps its own per-(accelerator, Shards) memo, and segmentation plans
+// are memoized per accelerator. The bookkeeping between steps (busy
+// and idle chiplets, per-chiplet loads) uses dense slices indexed by
+// mesh position rather than maps.
 package sched
 
 import (

@@ -9,7 +9,9 @@ package sweep
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 
 	"mcmnpu/internal/costmodel"
@@ -48,8 +50,10 @@ func (e *Engine) Cache() *costmodel.Cache { return e.cache }
 // Indices are dispatched through a channel, so long and short items
 // interleave without static partitioning skew. The first error (or the
 // context's error, checked before each item) cancels the remaining
-// work; already-running items finish. Each blocks until all workers
-// have returned.
+// work; already-running items finish. A panicking fn does not take the
+// process down: the worker recovers it into a *PanicError, which
+// cancels the remaining work like any other error. Each blocks until
+// all workers have returned.
 //
 // n <= 0 is an empty run, not an error: it returns nil on a live
 // context. A cancelled context still surfaces its error — callers use
@@ -100,7 +104,7 @@ func (e *Engine) Each(ctx context.Context, n int, fn func(i int) error) error {
 					fail(err)
 					return
 				}
-				if err := fn(i); err != nil {
+				if err := call(fn, i); err != nil {
 					fail(err)
 					return
 				}
@@ -112,6 +116,29 @@ func (e *Engine) Each(ctx context.Context, n int, fn func(i int) error) error {
 		return firstErr
 	}
 	return ctx.Err()
+}
+
+// PanicError is the error Each returns for an item whose fn panicked:
+// the item index, the recovered value and the panicking goroutine's
+// stack.
+type PanicError struct {
+	Index int
+	Value any
+	Stack []byte
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("sweep: item %d panicked: %v\n%s", e.Index, e.Value, e.Stack)
+}
+
+// call runs fn(i), converting a panic into a *PanicError.
+func call(fn func(i int) error, i int) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = &PanicError{Index: i, Value: v, Stack: debug.Stack()}
+		}
+	}()
+	return fn(i)
 }
 
 // Map runs fn(i) for every i in [0, n) and collects the results in

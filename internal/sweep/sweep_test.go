@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -166,5 +167,44 @@ func TestMapPartialOnError(t *testing.T) {
 	want := []int{1, 2, 3, 4, 5, 0, 0, 0, 0, 0}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("partial = %v, want %v", got, want)
+	}
+}
+
+// TestEachRecoversPanic: a panicking item must surface as a
+// *PanicError carrying its stack, stop the dispatch of the remaining
+// items, and leave no worker goroutine behind.
+func TestEachRecoversPanic(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for _, workers := range []int{1, 4} {
+		var calls int32
+		err := New(workers).Each(context.Background(), 1000, func(i int) error {
+			atomic.AddInt32(&calls, 1)
+			if i == 3 {
+				panic("boom")
+			}
+			return nil
+		})
+		var pe *PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("workers=%d: err = %v, want *PanicError", workers, err)
+		}
+		if pe.Index != 3 || pe.Value != "boom" {
+			t.Errorf("workers=%d: PanicError{Index: %d, Value: %v}, want {3, boom}", workers, pe.Index, pe.Value)
+		}
+		if !strings.Contains(pe.Error(), "boom") || !strings.Contains(string(pe.Stack), "TestEachRecoversPanic") {
+			t.Errorf("workers=%d: panic error lacks value or stack:\n%s", workers, pe.Error())
+		}
+		if n := atomic.LoadInt32(&calls); n == 1000 {
+			t.Errorf("workers=%d: panic did not stop the dispatch of remaining items", workers)
+		}
+	}
+	// Workers and the feeder exit before Each returns; allow the
+	// runtime a moment to retire them.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("goroutines: %d before, %d after a panicking Each", before, n)
 	}
 }
