@@ -20,11 +20,10 @@
 // split, a unit whose shard count changed, or every unit of a stage
 // whose reference chiplet (Pool[0]) moved when a borrow reshaped its
 // pool. A rollback restores Shards, so the memo misses and the unit
-// re-costs to exactly its earlier values. The heterogeneous probe
-// keeps its own per-(accelerator, Shards) memo, and segmentation plans
-// are memoized per accelerator. The bookkeeping between steps (busy
-// and idle chiplets, per-chiplet loads) uses dense slices indexed by
-// mesh position rather than maps.
+// re-costs to exactly its earlier values. The heterogeneous probe keeps
+// its own per-(accelerator, Shards) memo. The bookkeeping between steps
+// (busy and idle chiplets, per-chiplet loads) uses dense slices indexed
+// by mesh position rather than maps.
 package sched
 
 import (
@@ -55,22 +54,13 @@ type Unit struct {
 	EnergyJ    float64 // total across shards
 	MACs       int64   // total across shards
 
-	// memo holds the costs of the last evalOn, probes the costs the
-	// heterogeneous probe evaluated on other accelerators, and split
-	// the last segmentation plan. A unit's cost is a pure function of
-	// (Nodes, Shards, accelerator), and Nodes never changes after
-	// construction, so Algorithm 1 re-costs only units whose shard
-	// count or reference accelerator moved.
+	// memo holds the costs of the last evalOn and probes the costs the
+	// heterogeneous probe evaluated on other accelerators. A unit's cost
+	// is a pure function of (Nodes, Shards, accelerator), and Nodes
+	// never changes after construction, so Algorithm 1 re-costs only
+	// units whose shard count or reference accelerator moved.
 	memo   unitCost
 	probes []unitCost
-	split  unitSplit
-}
-
-// unitSplit memoizes segment: the cut index and both halves' costs on
-// the accelerator first.accel.
-type unitSplit struct {
-	cut           int
-	first, second unitCost
 }
 
 // unitCost is one memoized evaluation of a unit: its costs on accel at
@@ -104,15 +94,22 @@ func (u *Unit) Label() string {
 // single cache lookup. A rolled-back shard count or a new reference
 // chiplet misses and re-costs.
 func (u *Unit) evalOn(a *costmodel.Accel, cache *costmodel.Cache) error {
-	if u.memo.accel != a || u.memo.shards != u.Shards {
-		c, err := u.cost(a, cache)
-		if err != nil {
-			return err
-		}
-		u.memo = c
+	if u.memo.accel == a && u.memo.shards == u.Shards {
+		u.setCost(u.memo)
+		return nil
 	}
-	u.PerShardMs, u.EnergyJ, u.MACs = u.memo.ms, u.memo.ej, u.memo.macs
+	c, err := u.cost(a, cache)
+	if err != nil {
+		return err
+	}
+	u.setCost(c)
 	return nil
+}
+
+// setCost publishes c as the unit's costs and memoizes it.
+func (u *Unit) setCost(c unitCost) {
+	u.memo = c
+	u.PerShardMs, u.EnergyJ, u.MACs = c.ms, c.ej, c.macs
 }
 
 // probeMs returns the unit's per-shard latency on a at its current
@@ -191,35 +188,13 @@ func (u *Unit) canSegment() bool { return len(u.Nodes) > 1 }
 // segment splits the unit into two pipeline segments at the balanced
 // cumulative-latency point (the paper splits FE+BFPN at the fourth
 // ResNet block this way in the dual-NPU study). Costs are computed on a
-// through the cache (nil evaluates uncached). The cut and both halves'
-// costs are memoized per accelerator: a split that was rolled back is
-// retried after its stage's pool grows, and the retry needs no cost
-// lookups.
+// through the cache (nil evaluates uncached), one lookup per node: the
+// halves' costs are summed from the same per-node costs that place the
+// cut.
 func (u *Unit) segment(a *costmodel.Accel, cache *costmodel.Cache) (*Unit, *Unit, error) {
 	if !u.canSegment() {
 		return nil, nil, fmt.Errorf("sched: unit %s cannot segment", u.Label())
 	}
-	if u.split.first.accel != a {
-		u.planSplit(a, cache)
-	}
-	cut := u.split.cut
-	first := &Unit{StageIdx: u.StageIdx, Model: u.Model, Replica: u.Replica,
-		Nodes: u.Nodes[:cut], Shards: 1, memo: u.split.first}
-	second := &Unit{StageIdx: u.StageIdx, Model: u.Model, Replica: u.Replica,
-		Nodes: u.Nodes[cut:], Shards: 1, memo: u.split.second}
-	// Both memos match (a, 1), so evalOn only publishes the costs.
-	if err := first.evalOn(a, cache); err != nil {
-		return nil, nil, err
-	}
-	if err := second.evalOn(a, cache); err != nil {
-		return nil, nil, err
-	}
-	return first, second, nil
-}
-
-// planSplit computes the balanced cut of the unit on a and both halves'
-// costs into u.split, with one cost lookup per node.
-func (u *Unit) planSplit(a *costmodel.Accel, cache *costmodel.Cache) {
 	n := len(u.Nodes)
 	buf := make([]float64, 2*n)
 	lat, ej := buf[:n], buf[n:]
@@ -240,11 +215,13 @@ func (u *Unit) planSplit(a *costmodel.Accel, cache *costmodel.Cache) {
 			cut = i + 1
 		}
 	}
-	u.split = unitSplit{
-		cut:    cut,
-		first:  unshardedCost(a, u.Nodes[:cut], lat[:cut], ej[:cut]),
-		second: unshardedCost(a, u.Nodes[cut:], lat[cut:], ej[cut:]),
-	}
+	first := &Unit{StageIdx: u.StageIdx, Model: u.Model, Replica: u.Replica,
+		Nodes: u.Nodes[:cut], Shards: 1}
+	second := &Unit{StageIdx: u.StageIdx, Model: u.Model, Replica: u.Replica,
+		Nodes: u.Nodes[cut:], Shards: 1}
+	first.setCost(unshardedCost(a, first.Nodes, lat[:cut], ej[:cut]))
+	second.setCost(unshardedCost(a, second.Nodes, lat[cut:], ej[cut:]))
+	return first, second, nil
 }
 
 // unshardedCost sums a one-shard unit's cost from its nodes' layer
