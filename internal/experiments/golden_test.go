@@ -72,3 +72,11 @@ func TestGoldenMeshSweep(t *testing.T) {
 	}
 	checkGolden(t, "mesh_sweep.golden", MeshSweepTable(rows).String())
 }
+
+// TestGoldenGrid pins every byte of the sharded experiment grid: all
+// seven scenarios' tables, rendered in grid order at one worker.
+// TestShardedGridSerialParallelIdentical extends the pin to any worker
+// count.
+func TestGoldenGrid(t *testing.T) {
+	checkGolden(t, "grid.golden", runSharded(t, 1))
+}
