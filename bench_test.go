@@ -17,6 +17,7 @@ import (
 	"mcmnpu/internal/experiments"
 	"mcmnpu/internal/pareto"
 	"mcmnpu/internal/pipeline"
+	"mcmnpu/internal/report"
 	"mcmnpu/internal/scenario"
 	"mcmnpu/internal/sched"
 	"mcmnpu/internal/sim"
@@ -98,12 +99,19 @@ func BenchmarkFig5to8StageMappings(b *testing.B) {
 	})
 }
 
+// BenchmarkTable1HeterogeneousTrunks runs Table I on a fresh
+// one-worker engine per iteration: serial, with a cold cost cache.
 func BenchmarkTable1HeterogeneousTrunks(b *testing.B) {
 	cfg := workloads.DefaultConfig()
+	ctx := context.Background()
 	var r experiments.TableIResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r = experiments.TableI(cfg)
+		var err error
+		r, err = experiments.TableI(ctx, sweep.New(1), cfg, 85)
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.StopTimer()
 	printTable("table1", func() {
@@ -312,23 +320,43 @@ func BenchmarkAblationDataflow(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationNoPSensitivity sweeps the interconnect parameters.
+// BenchmarkAblationNoPSensitivity sweeps the interconnect parameters
+// (the "nop-bandwidth" grid scenario) serially on a warm engine.
 func BenchmarkAblationNoPSensitivity(b *testing.B) {
-	cfg := workloads.DefaultConfig()
-	var rows []experiments.NoPSensitivityRow
+	benchmarkGridScenarioWarm(b, "nop-bandwidth")
+}
+
+// benchmarkGridScenarioWarm times one grid scenario on a one-worker
+// engine whose cost cache an untimed run has already warmed.
+func benchmarkGridScenarioWarm(b *testing.B, name string) {
+	eng := sweep.New(1)
+	t := runGridScenario(b, eng, name)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.NoPSensitivity(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
+		t = runGridScenario(b, eng, name)
 	}
 	b.StopTimer()
-	printTable("abl-nop", func() {
-		experiments.NoPSensitivityTable(rows).Render(os.Stdout)
+	printTable(name, func() {
+		t.Render(os.Stdout)
 		fmt.Println()
 	})
+}
+
+// runGridScenario runs the named scenario of eng's experiment grid
+// alone and returns its table.
+func runGridScenario(b *testing.B, eng *sweep.Engine, name string) *report.Table {
+	for _, sc := range experiments.ShardedGrid(eng) {
+		if sc.Name != name {
+			continue
+		}
+		r := eng.RunGridSharded(context.Background(), workloads.DefaultConfig(), []sweep.ShardedScenario{sc})[0]
+		if r.Err != nil {
+			b.Fatalf("scenario %s: %v", name, r.Err)
+		}
+		return r.Table
+	}
+	b.Fatalf("no grid scenario %q", name)
+	return nil
 }
 
 // BenchmarkDSEExploreSerial is the serial §IV-C exhaustive search over
@@ -419,43 +447,22 @@ func benchmarkSweepGrid(b *testing.B, eng *sweep.Engine) {
 
 // BenchmarkFrontierSweep measures the analytic mesh x dataflow Pareto
 // frontier summary (the experiments-layer view of the multi-objective
-// explorer).
-func BenchmarkFrontierSweep(b *testing.B) {
-	cfg := workloads.DefaultConfig()
-	var rows []experiments.FrontierSweepRow
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.FrontierSweep(cfg, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	printTable("frontier-sweep", func() {
-		experiments.FrontierSweepTable(rows).Render(os.Stdout)
-		fmt.Println()
-	})
-}
+// explorer): the "frontier" grid scenario, serially on a warm engine.
+func BenchmarkFrontierSweep(b *testing.B) { benchmarkGridScenarioWarm(b, "frontier") }
 
-// Frontier sweep scaling ladder: both rungs run the sharded
-// FrontierSweepParallel path with a fresh (cold-cache) engine per
-// iteration, so the Serial/Parallel8 ns/op ratio isolates worker
-// scaling rather than cache warmth or code-path differences. The
-// bench-check scaling gate asserts the ratio on multi-core runners.
+// Frontier sweep scaling ladder: both rungs run the "frontier" grid
+// scenario with a fresh (cold-cache) engine per iteration, so the
+// Serial/Parallel8 ns/op ratio isolates worker scaling rather than
+// cache warmth or code-path differences. The bench-check scaling gate
+// asserts the ratio on multi-core runners.
 func BenchmarkFrontierSweepSerial(b *testing.B)    { benchmarkFrontierSweep(b, 1) }
 func BenchmarkFrontierSweepParallel8(b *testing.B) { benchmarkFrontierSweep(b, 8) }
 
 func benchmarkFrontierSweep(b *testing.B, workers int) {
-	cfg := workloads.DefaultConfig()
-	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng := sweep.New(workers) // fresh engine: cold cache each iteration
-		if _, err := experiments.FrontierSweepParallel(ctx, eng, cfg, nil); err != nil {
-			b.Fatal(err)
-		}
+		runGridScenario(b, sweep.New(workers), "frontier") // fresh engine: cold cache each iteration
 	}
 }
 

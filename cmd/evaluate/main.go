@@ -6,13 +6,16 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
+	"mcmnpu/internal/api"
 	"mcmnpu/internal/experiments"
 	"mcmnpu/internal/report"
+	"mcmnpu/internal/sweep"
 	"mcmnpu/internal/workloads"
 )
 
@@ -44,10 +47,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	cfg := workloads.DefaultConfig()
+	ctx := context.Background()
+	svc := api.NewService(sweep.New(0))
 	ran := false
 
 	if *t1 || *all {
-		experiments.TableI(cfg).Table().Render(stdout)
+		resp, err := svc.DSE(ctx, &api.DSERequest{})
+		if fail(err) {
+			return 1
+		}
+		resp.Table().Render(stdout)
 		fmt.Fprintln(stdout)
 		ran = true
 	}
@@ -102,24 +111,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		experiments.DataflowAblationTable(rows).Render(stdout)
-		fmt.Fprintln(stdout)
-		np, err := experiments.NoPSensitivity(cfg)
+		// The remaining ablations are grid scenarios: one sweep runs
+		// them all, and they print in this order, not grid order.
+		order := []string{"nop-bandwidth", "tolerance", "temporal-depth"}
+		grid, err := svc.GridSweep(ctx, &api.GridSweepRequest{Scenarios: order})
 		if fail(err) {
 			return 1
 		}
-		experiments.NoPSensitivityTable(np).Render(stdout)
-		fmt.Fprintln(stdout)
-		ts, err := experiments.ToleranceSweep(cfg)
-		if fail(err) {
-			return 1
+		byName := make(map[string]api.GridScenarioResult, len(grid.Results))
+		for _, g := range grid.Results {
+			byName[g.Scenario] = g
 		}
-		experiments.ToleranceSweepTable(ts).Render(stdout)
-		fmt.Fprintln(stdout)
-		td, err := experiments.TemporalDepthSweep(cfg)
-		if fail(err) {
-			return 1
+		for _, name := range order {
+			g := byName[name]
+			if g.Err != "" {
+				fmt.Fprintf(stderr, "%s: %s\n", name, g.Err)
+				return 1
+			}
+			fmt.Fprintln(stdout)
+			g.Table().Render(stdout)
 		}
-		experiments.TemporalDepthTable(td).Render(stdout)
 		ran = true
 	}
 	if !ran {

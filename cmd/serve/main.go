@@ -34,6 +34,19 @@ import (
 	"mcmnpu/internal/sweep"
 )
 
+// Connection timeouts. ReadHeaderTimeout bounds a client that trickles
+// its request headers, and IdleTimeout reclaims idle keep-alive
+// connections. There is deliberately no ReadTimeout: its deadline keeps
+// running after the body is read, and when it fires in the connection's
+// background read, net/http cancels the request context of whatever
+// long sweep or pareto run the handler is still computing. Slow bodies
+// are harmless without it, because a request takes an admission slot
+// only after its body has been read.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -79,8 +92,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	reqCtx, cancelReqs := context.WithCancelCause(ctx)
 	defer cancelReqs(nil)
 	hs := &http.Server{
-		Handler:     srv.Handler(),
-		BaseContext: func(net.Listener) context.Context { return reqCtx },
+		Handler:           srv.Handler(),
+		BaseContext:       func(net.Listener) context.Context { return reqCtx },
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 
 	fmt.Fprintf(stdout, "serving on http://%s (workers=%d, watermarks low=%d high=%d, cache=%d)\n",

@@ -6,11 +6,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 	"os"
 
 	"mcmnpu/internal/dse"
 	"mcmnpu/internal/experiments"
+	"mcmnpu/internal/sweep"
 	"mcmnpu/internal/workloads"
 )
 
@@ -18,8 +21,13 @@ func main() {
 	cfg := workloads.DefaultConfig()
 	cfg.LaneContext = 0.6 // the operating point Fig 11 selects
 
-	// Full Table I (OS / WS / Het(2) / Het(4)).
-	experiments.TableI(cfg).Table().Render(os.Stdout)
+	// Full Table I (OS / WS / Het(2) / Het(4)) at the paper's 85 ms
+	// constraint.
+	t1, err := experiments.TableI(context.Background(), sweep.New(0), cfg, 85)
+	if err != nil {
+		log.Fatal(err)
+	}
+	t1.Table().Render(os.Stdout)
 
 	// Sweep every WS count to see where the EDP optimum sits.
 	fmt.Println("\nWS-chiplet sweep (9-chiplet quadrant, Lcstr 85 ms):")

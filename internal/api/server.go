@@ -87,7 +87,7 @@ type Server struct {
 	results resultCache
 
 	// admittedHook, when set (tests only), runs after a compute request
-	// is admitted and decoded, before it executes — it lets a test hold
+	// is decoded and admitted, before it executes — it lets a test hold
 	// requests in flight deterministically.
 	admittedHook func()
 }
@@ -147,8 +147,10 @@ func (s *Server) release() {
 	}
 }
 
-// compute is the shared path of every POST endpoint: admission, strict
-// decoding, result-cache lookup, execution, cache fill.
+// compute is the shared path of every POST endpoint: strict decoding,
+// result-cache lookup, admission, execution, cache fill. Admission comes
+// last so that only execution holds a slot: a client still uploading
+// its body, or a request the result cache answers, never does.
 func (s *Server) compute(w http.ResponseWriter, r *http.Request, req Request) {
 	w.Header().Set(VersionHeader, Version)
 	if v := r.Header.Get(VersionHeader); v != "" && v != Version {
@@ -156,13 +158,6 @@ func (s *Server) compute(w http.ResponseWriter, r *http.Request, req Request) {
 			fmt.Sprintf("api version %q not supported (server speaks %s)", v, Version))
 		return
 	}
-	if !s.acquire() {
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "server saturated (admission watermark reached)")
-		return
-	}
-	defer s.release()
-
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "reading request body: "+err.Error())
@@ -181,22 +176,29 @@ func (s *Server) compute(w http.ResponseWriter, r *http.Request, req Request) {
 	// Streaming requests bypass the result cache: their value is the
 	// incremental progress, and their body interleaves progress lines
 	// with the final envelope.
-	if sw, ok := req.(*GridSweepRequest); ok && sw.Stream {
-		if s.admittedHook != nil {
-			s.admittedHook()
+	sw, stream := req.(*GridSweepRequest)
+	stream = stream && sw.Stream
+	if !stream {
+		if body, ok := s.results.get(key); ok {
+			w.Header().Set("Content-Type", "application/json")
+			w.Header().Set("X-Cache", "hit")
+			w.Write(body)
+			return
 		}
-		s.streamSweep(w, r, sw)
-		return
 	}
 
-	if body, ok := s.results.get(key); ok {
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Cache", "hit")
-		w.Write(body)
+	if !s.acquire() {
+		w.Header().Set("Retry-After", "1")
+		writeError(w, http.StatusTooManyRequests, "server saturated (admission watermark reached)")
 		return
 	}
+	defer s.release()
 	if s.admittedHook != nil {
 		s.admittedHook()
+	}
+	if stream {
+		s.streamSweep(w, r, sw)
+		return
 	}
 
 	resp, err := s.dispatch(r, req)

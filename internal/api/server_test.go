@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -302,6 +303,127 @@ func TestSaturation429(t *testing.T) {
 	resp, payload = post(t, hs.URL+"/v1/run", smallRun)
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("drained server still rejecting: %d %s", resp.StatusCode, payload)
+	}
+}
+
+// readSignal wraps a request body and closes reading on the first Read:
+// from then on the handler is blocked on the body.
+type readSignal struct {
+	io.ReadCloser
+	once    sync.Once
+	reading chan struct{}
+}
+
+func (r *readSignal) Read(p []byte) (int, error) {
+	r.once.Do(func() { close(r.reading) })
+	return r.ReadCloser.Read(p)
+}
+
+// TestTricklingUploadHoldsNoAdmission: with HighWatermark=1, a client
+// that has sent its headers and half of its body is not yet admitted,
+// so it cannot block a second request.
+func TestTricklingUploadHoldsNoAdmission(t *testing.T) {
+	srv := NewServer(NewService(sweep.New(2)), ServerConfig{HighWatermark: 1})
+	h := srv.Handler()
+	reading := make(chan struct{})
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Header.Get("X-Trickle") != "" {
+			r.Body = &readSignal{ReadCloser: r.Body, reading: reading}
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(hs.Close)
+
+	conn, err := net.Dial("tcp", hs.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	half := len(smallRun) / 2
+	if _, err := fmt.Fprintf(conn, "POST /v1/run HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n"+
+		"X-Trickle: 1\r\nContent-Length: %d\r\n\r\n%s", len(smallRun), smallRun[:half]); err != nil {
+		t.Fatal(err)
+	}
+	<-reading
+
+	resp, payload := post(t, hs.URL+"/v1/run", smallRun)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("request behind a trickling upload answered %d, want 200 (%s)", resp.StatusCode, payload)
+	}
+
+	// The upload completes and is served normally.
+	if _, err := io.WriteString(conn, smallRun[half:]); err != nil {
+		t.Fatal(err)
+	}
+	tresp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tpayload, _ := io.ReadAll(tresp.Body)
+	tresp.Body.Close()
+	if tresp.StatusCode != http.StatusOK || !bytes.Equal(tpayload, payload) {
+		t.Errorf("trickled request: %d, body equal %v", tresp.StatusCode, bytes.Equal(tpayload, payload))
+	}
+}
+
+// TestCacheHitWhileSaturated: with HighWatermark=1 and one request
+// parked in flight, a cached body is still replayed — the cache lookup
+// needs no admission slot, and a hit is not counted as admitted.
+func TestCacheHitWhileSaturated(t *testing.T) {
+	srv, hs := newTestServer(t, ServerConfig{HighWatermark: 1})
+	first, firstBody := post(t, hs.URL+"/v1/run", smallRun)
+	if first.StatusCode != http.StatusOK {
+		t.Fatalf("first request: %d %s", first.StatusCode, firstBody)
+	}
+
+	entered := make(chan struct{}, 1)
+	gate := make(chan struct{})
+	srv.admittedHook = func() {
+		entered <- struct{}{}
+		<-gate
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		resp, err := http.Post(hs.URL+"/v1/run", "application/json",
+			strings.NewReader(`{"scenarios":["highway-5cam"],"frames":4,"window_frames":2}`))
+		if err != nil {
+			t.Errorf("parked request: %v", err)
+			return
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			payload, _ := io.ReadAll(resp.Body)
+			t.Errorf("parked request failed: %d %s", resp.StatusCode, payload)
+		}
+	}()
+	<-entered
+
+	resp, payload := post(t, hs.URL+"/v1/run", smallRun)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "hit" {
+		t.Fatalf("saturated server answered %d, X-Cache %q, want a 200 replay (%s)",
+			resp.StatusCode, resp.Header.Get("X-Cache"), payload)
+	}
+	if !bytes.Equal(payload, firstBody) {
+		t.Error("replayed body differs from the original")
+	}
+
+	close(gate)
+	<-done
+	srv.admittedHook = nil
+
+	stats, err := http.Get(hs.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st ServerStats
+	err = json.NewDecoder(stats.Body).Decode(&st)
+	stats.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Admitted != 2 || st.Rejected != 0 {
+		t.Errorf("stats admitted %d rejected %d, want 2 and 0 (the hit needs no slot)", st.Admitted, st.Rejected)
 	}
 }
 

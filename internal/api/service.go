@@ -310,7 +310,7 @@ func (s *Service) DSE(ctx context.Context, req *DSERequest) (*DSEResponse, error
 	}
 	eng := s.gridEngine()
 	start := time.Now()
-	res, err := experiments.TableIParallel(ctx, eng, workloads.DefaultConfig(), req.lcstr())
+	res, err := experiments.TableI(ctx, eng, workloads.DefaultConfig(), req.lcstr())
 	if err != nil {
 		return nil, err
 	}

@@ -228,7 +228,7 @@ func Better(a, b Result) bool {
 func configName(wsCount int) string { return ConfigName(wsCount) }
 
 // ConfigName is the Table I row name for a wsCount pin (OS / Het(k);
-// the all-WS row is renamed "WS" by TableI).
+// the all-WS row is renamed "WS" by sweep.Engine.TableI).
 func ConfigName(wsCount int) string {
 	switch wsCount {
 	case 0:
@@ -433,14 +433,6 @@ func (sc *Scanner) Finish(combos int) Result {
 	return best
 }
 
-// WSOnly evaluates the all-WS reference row of Table I (it violates the
-// latency constraint; the paper reports it anyway as a bound).
-func WSOnly(trunks []*dnn.Graph, chiplets int, lcstrMs float64) Result {
-	r := Explore(trunks, chiplets, chiplets, lcstrMs)
-	r.Name = "WS"
-	return r
-}
-
 // TableIRow pairs a configuration result with its deltas vs the OS-only
 // reference.
 type TableIRow struct {
@@ -451,21 +443,10 @@ type TableIRow struct {
 	DeltaEDPPct    float64
 }
 
-// TableI runs the paper's Table I: OS-only, WS-only, Het(2) and Het(4)
-// on the 9-chiplet trunks quadrant with Lcstr = 85 ms.
-func TableI(trunks []*dnn.Graph, lcstrMs float64) []TableIRow {
-	return TableIRows([]Result{
-		Explore(trunks, 9, 0, lcstrMs),
-		WSOnly(trunks, 9, lcstrMs),
-		Explore(trunks, 9, 2, lcstrMs),
-		Explore(trunks, 9, 4, lcstrMs),
-	})
-}
-
 // TableIRows pairs each result with its deltas against results[0] (the
-// OS-only reference row, which carries no deltas). Shared by the serial
-// TableI above and the parallel sweep engine, so the two tables can
-// never drift apart in formatting.
+// OS-only reference row, which carries no deltas) — the rows of the
+// paper's Table I once results holds the OS-only, WS-only, Het(2) and
+// Het(4) pins.
 func TableIRows(results []Result) []TableIRow {
 	osr := results[0]
 	rows := []TableIRow{{Result: osr}}

@@ -50,7 +50,7 @@ func TestOSOnlyFeasible(t *testing.T) {
 }
 
 func TestWSOnlyInfeasible(t *testing.T) {
-	r := WSOnly(workloads.Trunks(trunkCfg()), 9, 85)
+	r := Explore(workloads.Trunks(trunkCfg()), 9, 9, 85) // every chiplet WS
 	if r.Feasible {
 		t.Error("all-WS trunks violate the latency constraint (paper: 605.7 ms E2E)")
 	}
@@ -79,7 +79,12 @@ func TestHetAssignsDetectorsToWS(t *testing.T) {
 }
 
 func TestHetImprovesEnergyAndEDP(t *testing.T) {
-	rows := TableI(workloads.Trunks(trunkCfg()), 85)
+	trunks := workloads.Trunks(trunkCfg())
+	var pins []Result
+	for _, ws := range []int{0, 9, 2, 4} {
+		pins = append(pins, Explore(trunks, 9, ws, 85))
+	}
+	rows := TableIRows(pins)
 	if len(rows) != 4 {
 		t.Fatalf("Table I rows = %d", len(rows))
 	}
@@ -119,7 +124,7 @@ func TestPinnedCandidatesCollapse(t *testing.T) {
 		t.Errorf("wsCount=2 candidates = %d, want 2^%d", len(got), n)
 	}
 	// The pins count only the single genuinely evaluated configuration.
-	if r := WSOnly(workloads.Trunks(trunkCfg()), 9, 85); r.Combos != 1 {
+	if r := Explore(workloads.Trunks(trunkCfg()), 9, 9, 85); r.Combos != 1 {
 		t.Errorf("all-WS pin combos = %d, want 1", r.Combos)
 	}
 }

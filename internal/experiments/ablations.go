@@ -8,6 +8,7 @@ import (
 	"mcmnpu/internal/pipeline"
 	"mcmnpu/internal/report"
 	"mcmnpu/internal/sched"
+	"mcmnpu/internal/sweep"
 	"mcmnpu/internal/workloads"
 )
 
@@ -85,28 +86,21 @@ var nopPoints = []struct {
 	{"2x faster links", 200, 17.5},
 }
 
-// NoPSensitivity sweeps the NoP link bandwidth and hop latency around
-// the paper's operating point (100 GB/s, 35 ns) and shows the Fig 9
-// conclusion is robust: even a 4x-degraded interconnect keeps NoP far
-// from the computational critical path.
-func NoPSensitivity(cfg workloads.Config) ([]NoPSensitivityRow, error) {
-	p, err := workloads.Perception(cfg)
+// nopPlan is the "nop-bandwidth" grid scenario: the NoP link bandwidth
+// and hop latency swept around the paper's operating point (100 GB/s,
+// 35 ns). It shows the Fig 9 conclusion is robust: even a 4x-degraded
+// interconnect keeps NoP far from the computational critical path.
+func nopPlan(e *sweep.Engine, cfg workloads.Config) (sweep.GridPlan, []NoPSensitivityRow, error) {
+	tmpl, err := simba36Template(cfg)
 	if err != nil {
-		return nil, err
+		return sweep.GridPlan{}, nil, err
 	}
-	tmpl, err := sched.NewTemplate(p, chiplet.Simba36(dataflow.OS))
-	if err != nil {
-		return nil, err
-	}
-	var rows []NoPSensitivityRow
-	for i := range nopPoints {
-		r, err := nopPoint(tmpl, i, schedOptions())
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, r)
-	}
-	return rows, nil
+	opts := engineSchedOptions(e)
+	plan, rows := pointPlan(len(nopPoints),
+		func(int) float64 { return 36 },
+		func(i int) (NoPSensitivityRow, error) { return nopPoint(tmpl, i, opts) },
+		NoPSensitivityTable)
+	return plan, rows, nil
 }
 
 // nopPoint evaluates one NoP parameter point from the shared schedule
@@ -156,27 +150,22 @@ type ToleranceSweepRow struct {
 // defaultTolerances are the tolerance-coefficient points of the sweep.
 var defaultTolerances = []float64{0.01, 0.05, 0.10, 0.25}
 
-// ToleranceSweep varies Algorithm 1's tolerance coefficient: tighter
+// tolerancePlan is the "tolerance" grid scenario: Algorithm 1's
+// tolerance coefficient varied over defaultTolerances. Tighter
 // tolerances buy a slightly flatter pipeline at the cost of more greedy
 // steps (sharding) and NoP traffic.
-func ToleranceSweep(cfg workloads.Config) ([]ToleranceSweepRow, error) {
-	p, err := workloads.Perception(cfg)
+func tolerancePlan(e *sweep.Engine, cfg workloads.Config) (sweep.GridPlan, []ToleranceSweepRow, error) {
+	tols := defaultTolerances
+	tmpl, err := simba36Template(cfg)
 	if err != nil {
-		return nil, err
+		return sweep.GridPlan{}, nil, err
 	}
-	tmpl, err := sched.NewTemplate(p, chiplet.Simba36(dataflow.OS))
-	if err != nil {
-		return nil, err
-	}
-	var rows []ToleranceSweepRow
-	for _, tol := range defaultTolerances {
-		r, err := tolerancePoint(tmpl, tol, schedOptions())
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, r)
-	}
-	return rows, nil
+	opts := engineSchedOptions(e)
+	plan, rows := pointPlan(len(tols),
+		func(i int) float64 { return 36 * 0.05 / tols[i] }, // tighter tolerance means more greedy iterations
+		func(i int) (ToleranceSweepRow, error) { return tolerancePoint(tmpl, tols[i], opts) },
+		ToleranceSweepTable)
+	return plan, rows, nil
 }
 
 // tolerancePoint evaluates one tolerance point from the shared schedule
@@ -218,19 +207,18 @@ type TemporalDepthRow struct {
 // defaultTemporalDepths are the queue-depth points of the sweep.
 var defaultTemporalDepths = []int64{4, 8, 12, 16}
 
-// TemporalDepthSweep varies the temporal fusion queue depth N (paper
-// uses 12): the throughput matcher absorbs deeper queues by sharding
-// until the quadrant saturates.
-func TemporalDepthSweep(cfg workloads.Config) ([]TemporalDepthRow, error) {
-	var rows []TemporalDepthRow
-	for _, n := range defaultTemporalDepths {
-		r, err := temporalPoint(cfg, n, schedOptions())
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, r)
-	}
-	return rows, nil
+// temporalPlan is the "temporal-depth" grid scenario: the temporal
+// fusion queue depth N (the paper uses 12) varied over
+// defaultTemporalDepths. The throughput matcher absorbs deeper queues
+// by sharding until the quadrant saturates.
+func temporalPlan(e *sweep.Engine, cfg workloads.Config) (sweep.GridPlan, []TemporalDepthRow, error) {
+	depths := defaultTemporalDepths
+	opts := engineSchedOptions(e)
+	plan, rows := pointPlan(len(depths),
+		func(int) float64 { return 36 },
+		func(i int) (TemporalDepthRow, error) { return temporalPoint(cfg, depths[i], opts) },
+		TemporalDepthTable)
+	return plan, rows, nil
 }
 
 // temporalPoint evaluates one queue-depth point: the depth changes the

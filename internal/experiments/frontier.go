@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"sort"
 
 	"mcmnpu/internal/chiplet"
 	"mcmnpu/internal/costmodel"
@@ -19,9 +17,9 @@ import (
 
 // Frontier summary in the camera-/mesh-sweep family: the analytic
 // latency/energy/area trade-off across package sizes and dataflows,
-// with the Pareto-dominated points called out. Where MeshSweep answers
-// "how does the package scale", the frontier column answers "which of
-// these points would a designer ever pick". (The realized-p99 frontier
+// with the Pareto-dominated points called out. Where the mesh sweep
+// answers "how does the package scale", the frontier column answers
+// "which of these points would a designer ever pick". (The realized-p99 frontier
 // over streamed scenarios lives in internal/pareto / cmd/pareto; this
 // sweep is the schedule-level view that fits the golden/bench harness.)
 
@@ -42,29 +40,26 @@ type FrontierSweepRow struct {
 	OnFrontier bool
 }
 
-// FrontierSweep schedules the full pipeline on each k x k mesh (nil
-// sizes use DefaultMeshSizes) under both dataflows and computes the
+// frontierPlan is the "frontier" grid scenario: the full pipeline on
+// each k x k mesh of DefaultMeshSizes under both dataflows, with the
 // non-dominated set over (pipeline latency, per-frame energy, total
-// PEs). Infeasible points are reported but excluded from the frontier.
-func FrontierSweep(cfg workloads.Config, sizes []int) ([]FrontierSweepRow, error) {
-	if len(sizes) == 0 {
-		sizes = DefaultMeshSizes
-	}
+// PEs) marked once every point has run. Infeasible points are reported
+// but excluded from the frontier.
+func frontierPlan(e *sweep.Engine, cfg workloads.Config) (sweep.GridPlan, []FrontierSweepRow, error) {
 	p, err := workloads.Perception(cfg)
 	if err != nil {
-		return nil, err
+		return sweep.GridPlan{}, nil, err
 	}
-	pts := frontierPoints(sizes)
-	rows := make([]FrontierSweepRow, len(pts))
-	for i, pt := range pts {
-		r, err := frontierPoint(p, pt.k, pt.style, schedOptions())
-		if err != nil {
-			return nil, err
-		}
-		rows[i] = r
-	}
-	markFrontier(rows)
-	return rows, nil
+	pts := frontierPoints(DefaultMeshSizes)
+	opts := engineSchedOptions(e)
+	plan, rows := pointPlan(len(pts),
+		func(i int) float64 { return float64(pts[i].k * pts[i].k) },
+		func(i int) (FrontierSweepRow, error) { return frontierPoint(p, pts[i].k, pts[i].style, opts) },
+		func(rows []FrontierSweepRow) *report.Table {
+			markFrontier(rows)
+			return FrontierSweepTable(rows)
+		})
+	return plan, rows, nil
 }
 
 // frontierPointSpec identifies one (mesh size, dataflow) point.
@@ -113,47 +108,10 @@ func frontierPoint(p *workloads.Pipeline, k int, style dataflow.Style, opts sche
 	return row, nil
 }
 
-// FrontierSweepParallel is FrontierSweep with the points fanned across
-// the engine's workers, heaviest mesh first, memoizing through the
-// engine's cache. Rows are written by point index and the frontier fold
-// runs serially afterwards in canonical point order, so the result is
-// bit-for-bit identical to the serial sweep at any worker count.
-func FrontierSweepParallel(ctx context.Context, e *sweep.Engine, cfg workloads.Config, sizes []int) ([]FrontierSweepRow, error) {
-	if len(sizes) == 0 {
-		sizes = DefaultMeshSizes
-	}
-	p, err := workloads.Perception(cfg)
-	if err != nil {
-		return nil, err
-	}
-	pts := frontierPoints(sizes)
-	order := make([]int, len(pts))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return pts[order[a]].k > pts[order[b]].k })
-	rows := make([]FrontierSweepRow, len(pts))
-	opts := engineSchedOptions(e)
-	err = e.Each(ctx, len(pts), func(j int) error {
-		i := order[j]
-		r, err := frontierPoint(p, pts[i].k, pts[i].style, opts)
-		if err != nil {
-			return err
-		}
-		rows[i] = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	markFrontier(rows)
-	return rows, nil
-}
-
 // markFrontier folds the feasible rows into the Pareto frontier in row
 // order and flags the non-dominated set. The fold order is part of the
-// determinism contract: rows always arrive in canonical point order,
-// whether computed serially or assembled from a parallel run.
+// determinism contract: rows are indexed by point, so they arrive in
+// canonical point order at any worker count.
 func markFrontier(rows []FrontierSweepRow) {
 	var f pareto.Frontier
 	for _, r := range rows {

@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"mcmnpu/internal/sweep"
 	"mcmnpu/internal/workloads"
 )
 
@@ -38,7 +40,11 @@ func checkGolden(t *testing.T, name, got string) {
 }
 
 func TestGoldenTableI(t *testing.T) {
-	checkGolden(t, "table1.golden", TableI(workloads.DefaultConfig()).Table().String())
+	r, err := TableI(context.Background(), sweep.New(1), workloads.DefaultConfig(), 85)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "table1.golden", r.Table().String())
 }
 
 func TestGoldenTable2(t *testing.T) {
@@ -50,27 +56,18 @@ func TestGoldenTable2(t *testing.T) {
 }
 
 func TestGoldenCameraSweep(t *testing.T) {
-	rows, err := CameraSweep(workloads.DefaultConfig(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "camera_sweep.golden", CameraSweepTable(rows).String())
+	_, tbl := runPlan(t, 1, cameraPlan)
+	checkGolden(t, "camera_sweep.golden", tbl.String())
 }
 
 func TestGoldenFrontierSweep(t *testing.T) {
-	rows, err := FrontierSweep(workloads.DefaultConfig(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "frontier_sweep.golden", FrontierSweepTable(rows).String())
+	_, tbl := runPlan(t, 1, frontierPlan)
+	checkGolden(t, "frontier_sweep.golden", tbl.String())
 }
 
 func TestGoldenMeshSweep(t *testing.T) {
-	rows, err := MeshSweep(workloads.DefaultConfig(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "mesh_sweep.golden", MeshSweepTable(rows).String())
+	_, tbl := runPlan(t, 1, meshPlan)
+	checkGolden(t, "mesh_sweep.golden", tbl.String())
 }
 
 // TestGoldenGrid pins every byte of the sharded experiment grid: all

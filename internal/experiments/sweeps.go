@@ -10,6 +10,7 @@ import (
 	"mcmnpu/internal/pipeline"
 	"mcmnpu/internal/report"
 	"mcmnpu/internal/sched"
+	"mcmnpu/internal/sweep"
 	"mcmnpu/internal/workloads"
 )
 
@@ -31,22 +32,17 @@ type CameraSweepRow struct {
 // DefaultCameraCounts brackets the paper's 8-camera suite.
 var DefaultCameraCounts = []int64{4, 6, 8, 12}
 
-// CameraSweep schedules the pipeline for each camera count (nil uses
-// DefaultCameraCounts). The FE stage carries one backbone replica per
+// cameraPlan is the "cameras" grid scenario: one point per camera count
+// in DefaultCameraCounts. The FE stage carries one backbone replica per
 // camera, so the sweep stresses the throughput matcher's sharding.
-func CameraSweep(cfg workloads.Config, counts []int64) ([]CameraSweepRow, error) {
-	if len(counts) == 0 {
-		counts = DefaultCameraCounts
-	}
-	var rows []CameraSweepRow
-	for _, n := range counts {
-		r, err := cameraPoint(cfg, n, schedOptions())
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, r)
-	}
-	return rows, nil
+func cameraPlan(e *sweep.Engine, cfg workloads.Config) (sweep.GridPlan, []CameraSweepRow, error) {
+	counts := DefaultCameraCounts
+	opts := engineSchedOptions(e)
+	plan, rows := pointPlan(len(counts),
+		func(i int) float64 { return 4.5 * float64(counts[i]) }, // 6x6 build, FE replicas scale with cameras
+		func(i int) (CameraSweepRow, error) { return cameraPoint(cfg, counts[i], opts) },
+		CameraSweepTable)
+	return plan, rows, nil
 }
 
 // cameraPoint evaluates one camera-count point: the camera count
@@ -100,25 +96,21 @@ type MeshSweepRow struct {
 // DefaultMeshSizes brackets the paper's 6x6 package.
 var DefaultMeshSizes = []int{4, 6, 8, 12}
 
-// MeshSweep schedules the pipeline on square k x k meshes (nil uses
-// DefaultMeshSizes; k=6 reproduces Simba36, k=12 is a four-NPU bound).
-func MeshSweep(cfg workloads.Config, sizes []int) ([]MeshSweepRow, error) {
-	if len(sizes) == 0 {
-		sizes = DefaultMeshSizes
-	}
+// meshPlan is the "mesh-size" grid scenario: the pipeline on square
+// k x k meshes for each k in DefaultMeshSizes (k=6 reproduces Simba36,
+// k=12 is a four-NPU bound).
+func meshPlan(e *sweep.Engine, cfg workloads.Config) (sweep.GridPlan, []MeshSweepRow, error) {
+	sizes := DefaultMeshSizes
 	p, err := workloads.Perception(cfg)
 	if err != nil {
-		return nil, err
+		return sweep.GridPlan{}, nil, err
 	}
-	var rows []MeshSweepRow
-	for _, k := range sizes {
-		r, err := meshPoint(p, k, schedOptions())
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, r)
-	}
-	return rows, nil
+	opts := engineSchedOptions(e)
+	plan, rows := pointPlan(len(sizes),
+		func(i int) float64 { return float64(sizes[i] * sizes[i]) },
+		func(i int) (MeshSweepRow, error) { return meshPoint(p, sizes[i], opts) },
+		MeshSweepTable)
+	return plan, rows, nil
 }
 
 // meshPoint schedules the shared pipeline on one k x k mesh. A schedule

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"mcmnpu/internal/chiplet"
@@ -10,6 +11,7 @@ import (
 	"mcmnpu/internal/pipeline"
 	"mcmnpu/internal/report"
 	"mcmnpu/internal/sched"
+	"mcmnpu/internal/sweep"
 	"mcmnpu/internal/workloads"
 )
 
@@ -19,12 +21,17 @@ type TableIResult struct {
 	Lcstr float64
 }
 
-// TableI runs the paper's Table I on the 9-chiplet trunks quadrant with
-// Lcstr = 85 ms and the lane trunk at 60% context (the operating point
-// Fig 11 selects).
-func TableI(cfg workloads.Config) TableIResult {
+// TableI runs the paper's Table I (OS-only, WS-only, Het(2), Het(4)) on
+// the 9-chiplet trunks quadrant through the engine's parallel explorer,
+// with the lane trunk at 60% context (the operating point Fig 11
+// selects). The paper's constraint is lcstrMs = 85.
+func TableI(ctx context.Context, e *sweep.Engine, cfg workloads.Config, lcstrMs float64) (TableIResult, error) {
 	cfg.LaneContext = 0.6
-	return TableIResult{Rows: dse.TableI(workloads.Trunks(cfg), 85), Lcstr: 85}
+	rows, err := e.TableI(ctx, workloads.Trunks(cfg), lcstrMs)
+	if err != nil {
+		return TableIResult{}, err
+	}
+	return TableIResult{Rows: rows, Lcstr: lcstrMs}, nil
 }
 
 // Table renders Table I.

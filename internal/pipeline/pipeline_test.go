@@ -122,3 +122,19 @@ func TestNoPTwoOrdersBelowCompute(t *testing.T) {
 		t.Errorf("NoP energy %.4f J not << total %.3f J", m.NoPEnergyJ, m.EnergyJ)
 	}
 }
+
+// TestPaperHeadlinePipeLatency: the paper's headline operating point is
+// ~90 ms pipelining latency for the full pipeline on the 36-chiplet OS
+// package, which sustains well above 5 FPS.
+func TestPaperHeadlinePipeLatency(t *testing.T) {
+	m := Compute(schedule(t, chiplet.Simba36(dataflow.OS), false), Layerwise)
+	if m.PipeLatMs <= 0 || m.EnergyJ <= 0 || m.FPS <= 0 {
+		t.Fatalf("bad metrics: %+v", m)
+	}
+	if m.PipeLatMs < 60 || m.PipeLatMs > 120 {
+		t.Errorf("pipe = %.1f ms, expected ~90", m.PipeLatMs)
+	}
+	if m.FPS < 5 {
+		t.Errorf("36-chiplet package should sustain 5 FPS (got %.1f)", m.FPS)
+	}
+}

@@ -69,8 +69,7 @@ func (e *Engine) ExploreSpace(ctx context.Context, space *dse.Space, wsCount int
 // WS-only, Het(2), Het(4)) on the 9-chiplet trunks quadrant. The pins
 // run in sequence — the two non-trivial ones (Het(2), Het(4)) each fan
 // their 2^n masks across the full pool, so an outer fan-out would only
-// oversubscribe the workers. Rows and deltas come from dse.TableIRows,
-// the same builder the serial dse.TableI uses.
+// oversubscribe the workers. Rows and deltas come from dse.TableIRows.
 func (e *Engine) TableI(ctx context.Context, trunks []*dnn.Graph, lcstrMs float64) ([]dse.TableIRow, error) {
 	space := dse.NewCachedSpace(trunks, 9, lcstrMs, e.cache)
 	wsCounts := []int{0, 9, 2, 4}
