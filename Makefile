@@ -146,6 +146,7 @@ golden:
 	$(GO) test ./cmd/pareto -run TestTopTableGolden -update
 	$(GO) test ./internal/api -run TestRequestKeyGolden -update
 	$(GO) test ./cmd/evaluate -run TestGoldenEvaluate -update
+	$(GO) test ./internal/pareto -run TestGoldenReports -update
 
 # check is the tier-1 gate, mirrored by .github/workflows/ci.yml:
 # build + format + vet + determinism lint + race-enabled tests + bench
