@@ -1,12 +1,13 @@
 // The evolutionary explorer: a deterministic, seeded NSGA-II loop over
 // the full heterogeneous design space — mesh shape x dataflow x link
 // bandwidth x per-chiplet type assignment — for spaces far too large to
-// enumerate. The initial population is seeded from the analytic
-// lower-bound frontier of the space's uniform-type corners; every
-// genome decodes to a content-keyed candidate name and a memo
-// guarantees no candidate is ever bounded or simulated twice; the
-// bound-dominance prune from the exhaustive explorer skips full
-// streaming runs for candidates that cannot reach the frontier.
+// enumerate. It drives the same evaluator as the exhaustive explorer
+// (eval.go): generation 0 is seeded from the analytic lower-bound
+// frontier of the space's uniform-type corners, and each generation's
+// fresh genomes are settled as one batch. Every genome decodes to a
+// content-keyed candidate name, and the evaluator's settled records are
+// the memo that guarantees no candidate is ever bounded or simulated
+// twice.
 //
 // Determinism contract (the exhaustive explorer's, extended): all
 // randomness flows from one splitmix64 stream consumed only inside the
@@ -23,7 +24,6 @@ import (
 	"strings"
 
 	"mcmnpu/internal/chiplet"
-	"mcmnpu/internal/scenario"
 )
 
 // Evolution defaults: a 30-generation, 24-individual run explores a
@@ -35,8 +35,8 @@ const (
 	DefaultSeed        = 1
 )
 
-// maxPopulation bounds request-supplied population sizes (and, with
-// generations, the evaluation budget).
+// MaxGenerations and MaxPopulation bound request-supplied run sizes
+// (together, the evaluation budget).
 const (
 	MaxGenerations = 10000
 	MaxPopulation  = 4096
@@ -146,31 +146,14 @@ func (ax axes) random(r *rng) genome {
 	return g
 }
 
-// cbound is one candidate's aggregated analytic bound: the Eval
-// skeleton (lower bounds, PE counts, feasibility) plus the prepared
-// scenarios a surviving candidate streams on. Held only between the
-// bound fan-out and the serial decision for that candidate.
-type cbound struct {
-	e     Eval
-	preps []*scenario.Prepared
-}
-
-// evolver is one run's working state.
+// evolver is one run's working state: the shared evaluator (whose
+// settled records are the genome memo) plus the breeding state.
 type evolver struct {
-	ax         axes
-	opts       EvolveOptions
-	objectives []string
-	rng        rng
-
-	recs     map[string]*Eval  // genome name -> settled evaluation record
-	order    []string          // first-seen record order
-	bounds   map[string]cbound // names bounded but not yet decided
-	frontier Frontier
-
-	memoHits   int
-	simulated  int
-	pruned     int
-	infeasible int
+	*evaluator
+	ax       axes
+	cfg      EvolveOptions
+	rng      rng
+	memoHits int
 }
 
 // Evolve searches the space with seeded NSGA-II and returns a report
@@ -178,7 +161,7 @@ type evolver struct {
 //
 //perf:hot — the population loop multiplies candidate x scenario evaluations at scale
 func Evolve(ctx context.Context, space Space, opts EvolveOptions) (Report, error) {
-	objectives, err := resolveObjectives(opts.Options)
+	evl, err := newEvaluator(opts.Options)
 	if err != nil {
 		return Report{}, err
 	}
@@ -204,14 +187,7 @@ func Evolve(ctx context.Context, space Space, opts EvolveOptions) (Report, error
 		}
 	}
 
-	ev := &evolver{
-		ax:         ax,
-		opts:       opts,
-		objectives: objectives,
-		rng:        rng{state: opts.Seed},
-		recs:       map[string]*Eval{},
-		bounds:     map[string]cbound{},
-	}
+	ev := &evolver{evaluator: evl, ax: ax, cfg: opts, rng: rng{state: opts.Seed}}
 
 	pop, seeded, err := ev.seedPopulation(ctx)
 	if err != nil {
@@ -247,125 +223,55 @@ func (ev *evolver) seedPopulation(ctx context.Context) ([]genome, int, error) {
 		}
 	}
 	corners := make([]corner, 0, len(ev.ax.meshes)*len(ev.ax.dfs)*len(ev.ax.bws)*len(tis))
+	cands := make([]Candidate, 0, cap(corners))
 	seen := map[string]bool{}
 	for mi := range ev.ax.meshes {
 		for dfi := range ev.ax.dfs {
 			for bwi := range ev.ax.bws {
 				for _, ti := range tis {
 					g := ev.ax.uniform(mi, dfi, bwi, ti)
-					n := ev.ax.candidate(g).Name()
-					if !seen[n] {
+					c := ev.ax.candidate(g)
+					if n := c.Name(); !seen[n] {
 						seen[n] = true
 						corners = append(corners, corner{g: g, name: n})
+						cands = append(cands, c)
 					}
 				}
 			}
 		}
 	}
-	cands := make([]Candidate, len(corners))
-	for i, c := range corners {
-		cands[i] = ev.ax.candidate(c.g)
-	}
-	if err := ev.ensureBounds(ctx, cands); err != nil {
+	if err := ev.bound(ctx, cands); err != nil {
 		return nil, 0, err
 	}
 
 	var lb Frontier
 	for _, c := range corners {
-		cb, ok := ev.bounds[c.name]
-		if !ok || cb.e.Infeasible {
+		p, ok := ev.pending[c.name]
+		if !ok || p.e.Infeasible {
 			continue
 		}
-		lb.Add(Point{Name: c.name, Vec: objVec(ev.objectives, cb.e.LBLatMs, cb.e.LBEnergyJ, cb.e.PEs)})
+		lb.Add(Point{Name: c.name, Vec: objVec(ev.objectives, p.e.LBLatMs, p.e.LBEnergyJ, p.e.PEs)})
 	}
 	byName := map[string]genome{}
 	for _, c := range corners {
 		byName[c.name] = c.g
 	}
-	pop := make([]genome, 0, ev.opts.Population)
+	pop := make([]genome, 0, ev.cfg.Population)
 	for _, p := range lb.Points() {
-		if len(pop) == ev.opts.Population {
+		if len(pop) == ev.cfg.Population {
 			break
 		}
 		pop = append(pop, byName[p.Name])
 	}
 	seeded := len(pop)
-	for len(pop) < ev.opts.Population {
+	for len(pop) < ev.cfg.Population {
 		pop = append(pop, ev.ax.random(&ev.rng))
 	}
 	return pop, seeded, nil
 }
 
-// ensureBounds computes analytic bounds for every listed candidate not
-// already bounded or settled, fanning the candidate x scenario product
-// across the engine (results land by index; aggregation is a serial
-// loop in candidate order).
-func (ev *evolver) ensureBounds(ctx context.Context, cands []Candidate) error {
-	todo := make([]Candidate, 0, len(cands))
-	names := make([]string, 0, len(cands))
-	seen := map[string]bool{}
-	for _, c := range cands {
-		n := c.Name()
-		if seen[n] {
-			continue
-		}
-		seen[n] = true
-		if _, ok := ev.recs[n]; ok {
-			continue
-		}
-		if _, ok := ev.bounds[n]; ok {
-			continue
-		}
-		todo = append(todo, c)
-		names = append(names, n)
-	}
-	if len(todo) == 0 {
-		return nil
-	}
-	ns := len(ev.opts.Scenarios)
-	raw := make([]bound, len(todo)*ns)
-	eachPair := func(i int) error {
-		c, sp := todo[i/ns], ev.opts.Scenarios[i%ns]
-		raw[i] = lowerBound(c.Apply(sp), cacheOf(ev.opts.Engine))
-		return nil
-	}
-	if ev.opts.Engine != nil {
-		if err := ev.opts.Engine.Each(ctx, len(raw), eachPair); err != nil {
-			return err
-		}
-	} else {
-		for i := range raw {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			eachPair(i)
-		}
-	}
-	for ci, c := range todo {
-		cb := cbound{e: Eval{Candidate: c, Name: names[ci]}}
-		for si := 0; si < ns; si++ {
-			b := raw[ci*ns+si]
-			if b.err != nil {
-				cb.e.Infeasible = true
-				if cb.e.Reason == "" {
-					cb.e.Reason = b.err.Error()
-				}
-				continue
-			}
-			cb.e.Chiplets, cb.e.PEs = b.chips, b.pes
-			cb.e.LBLatMs = max(cb.e.LBLatMs, b.latMs)
-			cb.e.LBEnergyJ = max(cb.e.LBEnergyJ, b.energyJ)
-			cb.preps = append(cb.preps, b.prep)
-		}
-		ev.bounds[names[ci]] = cb
-	}
-	return nil
-}
-
-// evaluate settles every genome in gs: memo re-encounters are free,
-// fresh candidates are bounded (parallel), then decided and — when
-// their discounted bound is not already dominated — streamed (serial,
-// ascending bound order, exactly the exhaustive explorer's phase 2).
+// evaluate settles every genome in gs through the evaluator; memo
+// re-encounters (settled earlier, or repeated within gs) are free.
 func (ev *evolver) evaluate(ctx context.Context, gs []genome) error {
 	fresh := make([]Candidate, 0, len(gs))
 	batch := map[string]bool{}
@@ -379,68 +285,7 @@ func (ev *evolver) evaluate(ctx context.Context, gs []genome) error {
 		batch[n] = true
 		fresh = append(fresh, c)
 	}
-	if len(fresh) == 0 {
-		return nil
-	}
-	if err := ev.ensureBounds(ctx, fresh); err != nil {
-		return err
-	}
-	sort.Slice(fresh, func(a, b int) bool {
-		ea, eb := ev.bounds[fresh[a].Name()].e, ev.bounds[fresh[b].Name()].e
-		if ea.LBLatMs != eb.LBLatMs {
-			return ea.LBLatMs < eb.LBLatMs
-		}
-		if ea.LBEnergyJ != eb.LBEnergyJ {
-			return ea.LBEnergyJ < eb.LBEnergyJ
-		}
-		if ea.PEs != eb.PEs {
-			return ea.PEs < eb.PEs
-		}
-		return ea.Name < eb.Name
-	})
-	ropts := scenario.RunOptions{
-		Frames:       ev.opts.Frames,
-		WindowFrames: ev.opts.WindowFrames,
-		Engine:       ev.opts.Engine,
-	}
-	for _, c := range fresh {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		n := c.Name()
-		cb := ev.bounds[n]
-		delete(ev.bounds, n)
-		e := cb.e
-		if e.Infeasible {
-			ev.infeasible++
-			ev.record(n, e)
-			continue
-		}
-		lbVec := objVec(ev.objectives, e.LBLatMs*lbSafety, e.LBEnergyJ, e.PEs)
-		if !ev.opts.NoPrune && ev.frontier.DominatedBy(lbVec) {
-			e.Pruned = true
-			ev.pruned++
-			ev.record(n, e)
-			continue
-		}
-		for _, prep := range cb.preps {
-			r, err := prep.Run(ctx, ropts)
-			if err != nil {
-				return fmt.Errorf("pareto evolve %s: %w", n, err)
-			}
-			e.P99Ms = max(e.P99Ms, r.P99Ms)
-			e.EnergyJ = max(e.EnergyJ, r.EnergyPerFrameJ)
-		}
-		ev.simulated++
-		ev.frontier.Add(Point{Name: n, Vec: objVec(ev.objectives, e.P99Ms, e.EnergyJ, e.PEs)})
-		ev.record(n, e)
-	}
-	return nil
-}
-
-func (ev *evolver) record(name string, e Eval) {
-	ev.recs[name] = &e
-	ev.order = append(ev.order, name)
+	return ev.settle(ctx, fresh)
 }
 
 // fitness returns the ranking vector of a settled candidate: the
@@ -578,7 +423,7 @@ func (ev *evolver) mutate(g *genome) {
 func (ev *evolver) selectNext(combined []genome) []genome {
 	inds := ev.indivs(combined)
 	fronts := nondominatedFronts(inds)
-	p := ev.opts.Population
+	p := ev.cfg.Population
 	next := make([]genome, 0, p)
 	for _, f := range fronts {
 		if len(next)+len(f) <= p {
@@ -606,49 +451,22 @@ func (ev *evolver) selectNext(combined []genome) []genome {
 	return next
 }
 
-// report assembles the final Report: every settled candidate in
-// first-seen order, the realized frontier in canonical order, and the
-// evolution header with the frontier's hypervolume (reference point:
-// 1.05x the componentwise worst simulated objective values).
+// report is the evaluator's report — every settled candidate in
+// settle order, the realized frontier in canonical order — plus the
+// memo-hit count and the evolution header with the frontier's
+// hypervolume (reference point: 1.05x the componentwise worst simulated
+// objective values).
 func (ev *evolver) report(space Space, seeded int) Report {
-	rep := Report{
-		Objectives: ev.objectives,
-		Evaluated:  ev.simulated,
-		Pruned:     ev.pruned,
-		Infeasible: ev.infeasible,
-		MemoHits:   ev.memoHits,
-	}
-	for _, sp := range ev.opts.Scenarios {
-		rep.Scenarios = append(rep.Scenarios, sp.Name)
-	}
-	on := map[string]bool{}
-	for _, p := range ev.frontier.Points() {
-		on[p.Name] = true
-	}
-	rep.Evals = make([]Eval, 0, len(ev.order))
-	for _, n := range ev.order {
-		e := *ev.recs[n]
-		e.OnFrontier = on[n]
-		rep.Evals = append(rep.Evals, e)
-	}
-	byName := map[string]Eval{}
-	for _, e := range rep.Evals {
-		byName[e.Name] = e
-	}
-	for _, p := range ev.frontier.Points() {
-		rep.Frontier = append(rep.Frontier, byName[p.Name])
-	}
-
+	rep := ev.evaluator.report(ev.order)
+	rep.MemoHits = ev.memoHits
 	var ref []float64
-	pts := make([][]float64, 0, ev.frontier.Len())
-	for _, n := range ev.order {
-		e := ev.recs[n]
+	for _, e := range rep.Evals {
 		if e.Infeasible || e.Pruned {
 			continue
 		}
 		v := objVec(ev.objectives, e.P99Ms, e.EnergyJ, e.PEs)
 		if ref == nil {
-			ref = append([]float64(nil), v...)
+			ref = v
 			continue
 		}
 		for i := range ref {
@@ -658,13 +476,14 @@ func (ev *evolver) report(space Space, seeded int) Report {
 	for i := range ref {
 		ref[i] *= 1.05
 	}
+	pts := make([][]float64, 0, ev.frontier.Len())
 	for _, p := range ev.frontier.Points() {
 		pts = append(pts, p.Vec)
 	}
 	rep.Evolution = &Evolution{
-		Generations: ev.opts.Generations,
-		Population:  ev.opts.Population,
-		Seed:        ev.opts.Seed,
+		Generations: ev.cfg.Generations,
+		Population:  ev.cfg.Population,
+		Seed:        ev.cfg.Seed,
 		SpaceSize:   space.Size(),
 		Seeded:      seeded,
 		Hypervolume: Hypervolume(pts, ref),

@@ -152,58 +152,103 @@ func testSpace() (Space, Options) {
 		}
 }
 
-// TestLowerBoundSound locks the pruning premise over the full default
-// space (every mesh, both dataflows): the safety-discounted analytic
-// latency bound never exceeds the realized p99 (the raw layerwise E2E
-// can overshoot the sim by a few per-mille — that is exactly what
-// lbSafety absorbs), and the analytic per-frame energy is the realized
-// value by construction.
-func TestLowerBoundSound(t *testing.T) {
-	_, opts := testSpace()
-	opts.NoPrune = true
-	rep, err := Explore(context.Background(), Space{}, opts) // default space
+// heteroCandidates is the heterogeneous input of the bound tests: every
+// {simba, eco, big} assignment of a 2x2 mesh, under both dataflows
+// (162 candidates).
+func heteroCandidates(t *testing.T) []Candidate {
+	t.Helper()
+	cands, err := Space{
+		Meshes:    []MeshDim{{2, 2}},
+		Dataflows: []string{"OS", "WS"},
+		Types:     []string{"simba", "eco", "big"},
+	}.EnumerateTyped(162)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range rep.Evals {
-		if e.Infeasible {
-			continue
+	return cands
+}
+
+// TestLowerBoundSound locks the pruning premise over the full default
+// space (every mesh, both dataflows) and over heteroCandidates in every
+// registry scenario: the safety-discounted analytic latency bound never
+// exceeds the realized p99 (the raw layerwise E2E can overshoot the sim
+// by a few per-mille — that is exactly what lbSafety absorbs), and the
+// analytic per-frame energy is the realized value by construction.
+func TestLowerBoundSound(t *testing.T) {
+	ctx := context.Background()
+	_, opts := testSpace()
+	opts.NoPrune = true
+	check := func(input string, rep Report) {
+		t.Helper()
+		if rep.Evaluated == 0 {
+			t.Errorf("%s: no candidate streamed", input)
 		}
-		if e.LBLatMs*lbSafety > e.P99Ms {
-			t.Errorf("%s: discounted latency bound %.6f ms above realized p99 %.6f ms",
-				e.Name, e.LBLatMs*lbSafety, e.P99Ms)
+		for _, e := range rep.Evals {
+			if e.Infeasible {
+				continue
+			}
+			if e.LBLatMs*lbSafety > e.P99Ms {
+				t.Errorf("%s %s: discounted latency bound %.6f ms above realized p99 %.6f ms",
+					input, e.Name, e.LBLatMs*lbSafety, e.P99Ms)
+			}
+			if e.LBEnergyJ != e.EnergyJ {
+				t.Errorf("%s %s: energy bound %.9f J != realized %.9f J", input, e.Name, e.LBEnergyJ, e.EnergyJ)
+			}
 		}
-		if e.LBEnergyJ != e.EnergyJ {
-			t.Errorf("%s: energy bound %.9f J != realized %.9f J", e.Name, e.LBEnergyJ, e.EnergyJ)
+	}
+	rep, err := Explore(ctx, Space{}, opts) // default space
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("default space", rep)
+
+	hetero := heteroCandidates(t)
+	for _, sp := range scenario.Registry() {
+		opts.Scenarios = []scenario.Spec{sp}
+		rep, err := ExploreCandidates(ctx, hetero, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
+		check(sp.Name, rep)
 	}
 }
 
 // TestPruningPreservesFrontier: with a sound lower bound, dominance
 // pruning must not change the frontier — only skip full runs that could
 // never have joined it. Runs over the full default space so the meshes
-// where the raw E2E bound overshoots the sim (8x8, 12x6) are covered.
+// where the raw E2E bound overshoots the sim (8x8, 12x6) are covered,
+// and over heteroCandidates in every registry scenario.
 func TestPruningPreservesFrontier(t *testing.T) {
-	_, opts := testSpace()
-	space := Space{} // default space
 	ctx := context.Background()
-	pruned, err := Explore(ctx, space, opts)
-	if err != nil {
-		t.Fatal(err)
+	_, opts := testSpace()
+	check := func(input string, cands []Candidate) {
+		t.Helper()
+		opts.NoPrune = false
+		pruned, err := ExploreCandidates(ctx, cands, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.NoPrune = true
+		full, err := ExploreCandidates(ctx, cands, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, _ := json.Marshal(pruned.Frontier)
+		b, _ := json.Marshal(full.Frontier)
+		if string(a) != string(b) {
+			t.Errorf("%s: pruning changed the frontier:\npruned: %s\nfull:   %s", input, a, b)
+		}
+		if pruned.Evaluated+pruned.Pruned+pruned.Infeasible != len(cands) {
+			t.Errorf("%s accounting: evaluated %d + pruned %d + infeasible %d != %d candidates",
+				input, pruned.Evaluated, pruned.Pruned, pruned.Infeasible, len(cands))
+		}
 	}
-	opts.NoPrune = true
-	full, err := Explore(ctx, space, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := json.Marshal(pruned.Frontier)
-	b, _ := json.Marshal(full.Frontier)
-	if string(a) != string(b) {
-		t.Errorf("pruning changed the frontier:\npruned: %s\nfull:   %s", a, b)
-	}
-	if pruned.Evaluated+pruned.Pruned+pruned.Infeasible != len(space.Candidates()) {
-		t.Errorf("accounting: evaluated %d + pruned %d + infeasible %d != %d candidates",
-			pruned.Evaluated, pruned.Pruned, pruned.Infeasible, len(space.Candidates()))
+	check("default space", Space{}.Candidates())
+
+	hetero := heteroCandidates(t)
+	for _, sp := range scenario.Registry() {
+		opts.Scenarios = []scenario.Spec{sp}
+		check(sp.Name, hetero)
 	}
 }
 

@@ -62,8 +62,9 @@ type ShardedScenario struct {
 // engine's workers. Per-scenario failures are recorded per-result
 // rather than aborting the grid: a scenario's Err is its Prepare error,
 // or the lowest-indexed point error (deterministic regardless of which
-// worker hit it first). Only context cancellation stops the run early;
-// scenarios left incomplete then carry the context's actual error.
+// worker hit it first; a panicking point reports a *PanicError). Only
+// context cancellation stops the run early; scenarios left incomplete
+// then carry the context's actual error.
 // Results come back in scenario order, bit-for-bit identical to a
 // 1-worker run.
 //
@@ -118,11 +119,12 @@ func (e *Engine) RunGridSharded(ctx context.Context, cfg workloads.Config, scena
 	_ = e.Each(ctx, len(units), func(k int) error {
 		u := units[k]
 		start := time.Now()
-		pointErr[u.sc][u.pt] = plans[u.sc].Run(ctx, u.pt)
+		// Point failures stay per-scenario, panics included (call
+		// recovers them into a *PanicError with the point index):
+		// reaching Each would cancel the other scenarios' points.
+		pointErr[u.sc][u.pt] = call(func(pt int) error { return plans[u.sc].Run(ctx, pt) }, u.pt)
 		workNs[u.sc].Add(time.Since(start).Nanoseconds())
 		pointRan[u.sc][u.pt] = true
-		// Point failures stay per-scenario; returning them would cancel
-		// the other scenarios' points.
 		return nil
 	})
 

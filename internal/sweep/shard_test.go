@@ -168,6 +168,42 @@ func TestRunGridShardedPointErrorLowestIndex(t *testing.T) {
 	}
 }
 
+// TestRunGridShardedPointPanicIsolated: a panicking point is recovered
+// into its own scenario's error, keeping the value, and does not cancel
+// the other scenarios' points.
+func TestRunGridShardedPointPanicIsolated(t *testing.T) {
+	boom := ShardedScenario{
+		Name: "boom",
+		Prepare: func(context.Context, workloads.Config) (GridPlan, error) {
+			return GridPlan{
+				Points: 3,
+				Run: func(ctx context.Context, i int) error {
+					if i == 1 {
+						panic("bad point")
+					}
+					return nil
+				},
+				Finish: func() (*report.Table, error) {
+					t.Error("Finish called on a panicked scenario")
+					return nil, nil
+				},
+			}, nil
+		},
+	}
+	var ran []int32
+	for _, workers := range []int{1, 2} {
+		results := New(workers).RunGridSharded(context.Background(), workloads.DefaultConfig(),
+			[]ShardedScenario{boom, squaresScenario("good", 40, 1, nil, &ran)})
+		var pe *PanicError
+		if !errors.As(results[0].Err, &pe) || pe.Index != 1 || pe.Value != "bad point" {
+			t.Errorf("workers=%d: err = %v, want the point-1 panic", workers, results[0].Err)
+		}
+		if results[1].Err != nil || results[1].Table == nil {
+			t.Errorf("workers=%d: panic leaked into the healthy scenario: %v", workers, results[1].Err)
+		}
+	}
+}
+
 // TestRunGridShardedPreCancelled: a dead context marks every scenario
 // with the cancellation cause instead of running anything.
 func TestRunGridShardedPreCancelled(t *testing.T) {

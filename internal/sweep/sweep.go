@@ -67,6 +67,7 @@ func (e *Engine) Each(ctx context.Context, n int, fn func(i int) error) error {
 		}
 		return nil
 	}
+	parent := ctx
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -100,7 +101,14 @@ func (e *Engine) Each(ctx context.Context, n int, fn func(i int) error) error {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				if err := ctx.Err(); err != nil {
+				// The parent is checked too: its cancellation closes its
+				// Done channel before it reaches ctx, and in that gap an
+				// item waiting on the parent would let the next ones start.
+				err := parent.Err()
+				if err == nil {
+					err = ctx.Err()
+				}
+				if err != nil {
 					fail(err)
 					return
 				}
@@ -120,7 +128,8 @@ func (e *Engine) Each(ctx context.Context, n int, fn func(i int) error) error {
 
 // PanicError is the error Each returns for an item whose fn panicked:
 // the item index, the recovered value and the panicking goroutine's
-// stack.
+// stack. Error() carries only the index and value: the message reaches
+// API clients and cached results, so the stack stays on Stack.
 type PanicError struct {
 	Index int
 	Value any
@@ -128,7 +137,7 @@ type PanicError struct {
 }
 
 func (e *PanicError) Error() string {
-	return fmt.Sprintf("sweep: item %d panicked: %v\n%s", e.Index, e.Value, e.Stack)
+	return fmt.Sprintf("sweep: item %d panicked: %v", e.Index, e.Value)
 }
 
 // call runs fn(i), converting a panic into a *PanicError.

@@ -171,7 +171,7 @@ func TestMapPartialOnError(t *testing.T) {
 }
 
 // TestEachRecoversPanic: a panicking item must surface as a
-// *PanicError carrying its stack, stop the dispatch of the remaining
+// *PanicError carrying its stack (kept out of its message), stop the dispatch of the remaining
 // items, and leave no worker goroutine behind.
 func TestEachRecoversPanic(t *testing.T) {
 	before := runtime.NumGoroutine()
@@ -191,8 +191,13 @@ func TestEachRecoversPanic(t *testing.T) {
 		if pe.Index != 3 || pe.Value != "boom" {
 			t.Errorf("workers=%d: PanicError{Index: %d, Value: %v}, want {3, boom}", workers, pe.Index, pe.Value)
 		}
-		if !strings.Contains(pe.Error(), "boom") || !strings.Contains(string(pe.Stack), "TestEachRecoversPanic") {
-			t.Errorf("workers=%d: panic error lacks value or stack:\n%s", workers, pe.Error())
+		if !strings.Contains(string(pe.Stack), "TestEachRecoversPanic") {
+			t.Errorf("workers=%d: PanicError.Stack lacks the panicking frame:\n%s", workers, pe.Stack)
+		}
+		// The message reaches clients and cached results: value only,
+		// never the goroutine's stack.
+		if got, want := pe.Error(), "sweep: item 3 panicked: boom"; got != want {
+			t.Errorf("workers=%d: Error() = %q, want %q", workers, got, want)
 		}
 		if n := atomic.LoadInt32(&calls); n == 1000 {
 			t.Errorf("workers=%d: panic did not stop the dispatch of remaining items", workers)
